@@ -130,12 +130,12 @@ fn main() {
     }
 
     {
-        // Columnar kind-classification kernels, every backend the host
-        // supports (scalar reference, SWAR, then SSE2/AVX2 where
-        // detected): bitmap select of write-back lanes and a bulk lane
-        // count over a 64 KiB kind column with a trace-like mix. The
-        // analyzer's block fast path runs the auto-picked backend; the
-        // group quantifies what each rung of the ladder buys.
+        // Columnar kind-classification kernels, every backend the
+        // target has (scalar reference, SWAR, then SSE2 on x86_64):
+        // bitmap select of write-back lanes and a bulk lane count over
+        // a 64 KiB kind column with a trace-like mix. The analyzer's
+        // block fast path runs the target's default backend; the group
+        // quantifies what each rung of the ladder buys.
         use oscar_machine::kindscan::{available_backends, count_eq_with, select_eq_any_with};
         use oscar_machine::BusKind;
 

@@ -94,10 +94,8 @@ fn main() {
         black_box(kept)
     });
 
-    // Stage-occupancy point: one simulate+analyze run with the analyzer
-    // sharded two wide versus serial. The pair is the single-run
-    // pipeline's bench anchor; stage rows (below) show where the time
-    // in the pipelined run actually sits.
+    // One simulate+analyze run through the streaming pipeline: the
+    // end-to-end anchor the per-block numbers above feed into.
     let cfg = ExperimentConfig::new(WorkloadKind::Pmake)
         .warmup(2_000_000)
         .measure(6_000_000);
@@ -105,42 +103,6 @@ fn main() {
         let (a, _) = run_streaming(&cfg, &StreamOptions::default());
         black_box(a.trace_records)
     });
-    h.bench("soa/stream_pipelined_x2", || {
-        let (a, _) = run_streaming(
-            &cfg,
-            &StreamOptions {
-                shards: 2,
-                sweep_workers: 2,
-                ..StreamOptions::default()
-            },
-        );
-        black_box(a.trace_records)
-    });
-    {
-        let (a, _) = run_streaming(
-            &cfg,
-            &StreamOptions {
-                shards: 2,
-                sweep_workers: 2,
-                stage_stats: true,
-                ..StreamOptions::default()
-            },
-        );
-        for p in &a.stage_phases {
-            let blocked = p.stall_s.unwrap_or(0.0) + p.starve_s.unwrap_or(0.0);
-            let occ = if p.wall_s > 0.0 {
-                1.0 - blocked / p.wall_s
-            } else {
-                0.0
-            };
-            println!(
-                "stage {:<18} wall {:>8.4}s occupancy {:>5.1}%",
-                p.id,
-                p.wall_s,
-                occ * 100.0
-            );
-        }
-    }
 
     h.finish();
 }

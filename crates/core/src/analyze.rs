@@ -11,20 +11,13 @@
 //! pipeline in [`crate::pipeline`] instead feeds records through a
 //! bounded channel as the simulation produces them.
 //!
-//! Classification against the per-CPU cache mirrors is the only part of
-//! the analysis whose *outputs* depend on cache state; every attribution
-//! input (mode, operation, context, region) is known at access time.
-//! The analyzer therefore supports *deferred* classification: it emits
-//! a [`ClassifyMsg`] per access and captures a pending-attribution
-//! record, and one or more [`ClassShard`]s — each owning a subset of the
-//! CPUs' mirrors — classify the stream concurrently. The fold of shard
-//! verdicts into the final [`TraceAnalysis`]
-//! ([`StreamAnalyzer::finish_deferred`]) is commutative, so sharded
-//! results are identical to inline ones.
+//! Like the paper's post-processor, the analysis is one sequential pass:
+//! every access is classified against the issuing CPU's mirror and
+//! folded into the statistics as it arrives, on the analyzer's thread.
 
 use std::collections::BTreeMap;
 
-use oscar_machine::addr::{BlockAddr, Ppn, Vpn};
+use oscar_machine::addr::{Ppn, Vpn};
 use oscar_machine::monitor::{BusRecord, RecordBlock, RecordFilter};
 use oscar_machine::{BusKind, MachineConfig};
 use oscar_os::stats::ModeCycles;
@@ -147,19 +140,6 @@ pub enum IStreamItem {
     },
 }
 
-/// One miss-stream item destined for the resimulation sweeps, staged by
-/// a deferred-sweeps analyzer ([`AnalyzeOptions::deferred_sweeps`]) and
-/// replayed by [`crate::resim::SweepShard`] workers. The instruction and
-/// data streams are interleaved in emission order; each bank consumes
-/// only its own kind, so the interleaving is irrelevant to results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SweepItem {
-    /// An instruction-stream item.
-    I(IStreamItem),
-    /// A data-stream item.
-    D(DStreamItem),
-}
-
 /// One enriched record row offered to a query row sink: the raw bus
 /// record's fields joined with the attribution context the analyzer
 /// reconstructs at that point of the stream (mode, miss class,
@@ -217,7 +197,7 @@ pub struct ExhibitProvenance {
     pub sharing_by_source: BTreeMap<(SharingSource, u8), u64>,
     /// Figure 6 contributions: per sweep geometry (order of
     /// [`figure6_configs`]), per CPU `(os_misses, os_inval_misses)`.
-    /// Filled only when the sweeps run inline.
+    /// Filled only when the sweeps run online.
     pub fig6_per_cpu: Vec<Vec<(u64, u64)>>,
     /// D-cache sweep contributions: per geometry (order of
     /// [`dcache_configs`]), per CPU `(os_misses, os_sharing_misses)`.
@@ -541,28 +521,12 @@ pub struct AnalyzeOptions {
     /// off (with `online_sweeps` on) bounds the analyzer's memory
     /// regardless of trace length.
     pub keep_streams: bool,
-    /// Defer mirror classification: the analyzer emits [`ClassifyMsg`]s
-    /// (drained with [`StreamAnalyzer::take_classify_msgs`]) for
-    /// [`ClassShard`] workers, and the caller folds their verdicts back
-    /// with [`StreamAnalyzer::finish_deferred`].
-    pub deferred_classification: bool,
-    /// Defer the Figure 6 / D-cache sweeps: instead of owning the
-    /// resimulation banks, the analyzer stages [`SweepItem`]s (drained
-    /// with [`StreamAnalyzer::take_sweep_items`]) for
-    /// [`crate::resim::SweepShard`] workers; the caller assembles their
-    /// points into [`TraceAnalysis::fig6`] / [`TraceAnalysis::dcache`].
-    /// Results are identical to inline sweeps — each bank replays the
-    /// same stream, just on another thread.
-    pub deferred_sweeps: bool,
     /// Collect per-CPU [`ExhibitProvenance`] alongside the aggregate
-    /// exhibits. The sweep contributions require inline sweeps
-    /// (`online_sweeps` on, `deferred_sweeps` off); classification
-    /// provenance works in both inline and deferred modes.
+    /// exhibits. The sweep contributions require `online_sweeps` (the
+    /// per-CPU bank counters exist only then).
     pub provenance: bool,
     /// Track per-block contention on the classified data-miss stream
-    /// and materialize [`TraceAnalysis::hotlines`]. Requires inline
-    /// classification (the tracker consumes the class verdict
-    /// access-by-access).
+    /// and materialize [`TraceAnalysis::hotlines`].
     pub hotlines: bool,
     /// How many top contended lines [`TraceAnalysis::hotlines`] keeps.
     pub hotlines_top: usize,
@@ -573,8 +537,6 @@ impl Default for AnalyzeOptions {
         AnalyzeOptions {
             online_sweeps: false,
             keep_streams: true,
-            deferred_classification: false,
-            deferred_sweeps: false,
             provenance: false,
             hotlines: false,
             hotlines_top: 50,
@@ -599,10 +561,6 @@ pub fn analyze(art: &RunArtifacts) -> TraceAnalysis {
 ///
 /// Panics if the machine's caches are not direct-mapped.
 pub fn analyze_with(art: &RunArtifacts, opts: AnalyzeOptions) -> TraceAnalysis {
-    assert!(
-        !opts.deferred_classification,
-        "deferred classification needs a shard driver; use StreamAnalyzer directly"
-    );
     let mut a = StreamAnalyzer::new(TraceMeta::of(art), opts);
     for &rec in &art.trace {
         a.push(rec);
@@ -610,134 +568,8 @@ pub fn analyze_with(art: &RunArtifacts, opts: AnalyzeOptions) -> TraceAnalysis {
     a.finish()
 }
 
-/// One unit of classification work, emitted by a deferred-mode
-/// [`StreamAnalyzer`] and consumed by every [`ClassShard`] (each shard
-/// classifies the fills of the CPUs it owns and applies the coherence
-/// side effects of everyone else's writes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClassifyMsg {
-    /// A cache fill to classify against the issuing CPU's mirror.
-    Fill {
-        /// Issuing CPU.
-        cpu: u8,
-        /// Block address.
-        block: u64,
-        /// Instruction fill (I-mirror) or data fill (D-mirror).
-        instr: bool,
-        /// The fill was issued in OS or idle mode.
-        os: bool,
-        /// The issuing CPU's application epoch.
-        epoch: u64,
-        /// Read-exclusive: invalidates the block in other CPUs'
-        /// D-mirrors.
-        write: bool,
-    },
-    /// An ownership upgrade: pure coherence traffic (the class is
-    /// `Sharing` by definition and is folded inline), but other CPUs'
-    /// D-mirrors still lose the block.
-    Upgrade {
-        /// Issuing CPU.
-        cpu: u8,
-        /// Block address.
-        block: u64,
-    },
-    /// An explicit I-cache page invalidation on every CPU.
-    Flush {
-        /// The flushed page.
-        ppn: u32,
-    },
-}
-
-/// One classification worker: owns the cache mirrors of the CPUs with
-/// `cpu % shards == shard` and replays the full [`ClassifyMsg`] stream,
-/// producing per-CPU class sequences (in fill order). Running the same
-/// stream through `shards` shards on separate threads partitions the
-/// mirror work without changing any verdict.
-#[derive(Debug)]
-pub struct ClassShard {
-    mirrors: Vec<Option<(Mirror, Mirror)>>,
-    classes: Vec<Vec<ArchClass>>,
-}
-
-impl ClassShard {
-    /// A shard owning the CPUs with `cpu % shards == shard`, with
-    /// mirror geometry taken from `config`.
-    pub fn new(config: &MachineConfig, shard: usize, shards: usize) -> Self {
-        let n = config.num_cpus as usize;
-        ClassShard {
-            mirrors: (0..n)
-                .map(|i| {
-                    (i % shards.max(1) == shard).then(|| {
-                        (
-                            Mirror::new(config.icache.size_bytes),
-                            Mirror::new(config.l2d.size_bytes),
-                        )
-                    })
-                })
-                .collect(),
-            classes: (0..n).map(|_| Vec::new()).collect(),
-        }
-    }
-
-    /// Replays one message.
-    pub fn push(&mut self, msg: &ClassifyMsg) {
-        match *msg {
-            ClassifyMsg::Fill {
-                cpu,
-                block,
-                instr,
-                os,
-                epoch,
-                write,
-            } => {
-                let b = BlockAddr(block);
-                let i = cpu as usize;
-                if let Some((im, dm)) = &mut self.mirrors[i] {
-                    let class = if instr {
-                        im.classify_fill(b, os, epoch)
-                    } else {
-                        dm.classify_fill(b, os, epoch)
-                    };
-                    self.classes[i].push(class);
-                }
-                if write && !instr {
-                    self.invalidate_others(i, b);
-                }
-            }
-            ClassifyMsg::Upgrade { cpu, block } => {
-                self.invalidate_others(cpu as usize, BlockAddr(block));
-            }
-            ClassifyMsg::Flush { ppn } => {
-                for m in self.mirrors.iter_mut().flatten() {
-                    m.0.flush_page(Ppn(ppn));
-                }
-            }
-        }
-    }
-
-    fn invalidate_others(&mut self, writer: usize, b: BlockAddr) {
-        for (j, m) in self.mirrors.iter_mut().enumerate() {
-            if j != writer {
-                if let Some((_, dm)) = m {
-                    dm.invalidate(b);
-                }
-            }
-        }
-    }
-
-    /// The per-CPU class sequences of the owned CPUs.
-    pub fn finish(self) -> Vec<(usize, Vec<ArchClass>)> {
-        self.mirrors
-            .into_iter()
-            .zip(self.classes)
-            .enumerate()
-            .filter_map(|(i, (m, c))| m.map(|_| (i, c)))
-            .collect()
-    }
-}
-
-/// Attribution context captured at access time, joined with the
-/// (possibly deferred) class verdict by [`fold_class`].
+/// Attribution context captured at access time, joined with the class
+/// verdict by [`fold_class`].
 #[derive(Debug, Clone, Copy)]
 struct PendingFill {
     mode: Mode,
@@ -752,10 +584,8 @@ struct PendingFill {
     ctx: Option<AttrCtx>,
 }
 
-/// Folds one class verdict into the analysis. Pure accumulation —
-/// commutative across accesses, which is what makes sharded
-/// classification equivalent to inline. `cpu` is the issuing CPU,
-/// consumed only by the provenance probe.
+/// Folds one class verdict into the analysis (pure accumulation). `cpu`
+/// is the issuing CPU, consumed only by the provenance probe.
 fn fold_class(out: &mut TraceAnalysis, p: &PendingFill, class: ArchClass, cpu: usize) {
     if let Some(prov) = out.provenance.as_deref_mut() {
         let m = match p.mode {
@@ -835,19 +665,9 @@ fn fold_class(out: &mut TraceAnalysis, p: &PendingFill, class: ArchClass, cpu: u
     }
 }
 
-struct DeferredState {
-    /// Per-CPU attribution records, in fill order (aligned with the
-    /// class sequences the shards return).
-    pending: Vec<Vec<PendingFill>>,
-    /// Messages accumulated since the last
-    /// [`StreamAnalyzer::take_classify_msgs`].
-    msgs: Vec<ClassifyMsg>,
-}
-
 /// The streaming analyzer: owns all analysis state, consumes bus
 /// records one at a time, and yields the [`TraceAnalysis`] on
-/// [`StreamAnalyzer::finish`] (or
-/// [`StreamAnalyzer::finish_deferred`] in sharded mode).
+/// [`StreamAnalyzer::finish`].
 pub struct StreamAnalyzer {
     meta: TraceMeta,
     opts: AnalyzeOptions,
@@ -860,10 +680,6 @@ pub struct StreamAnalyzer {
     ppn_vpn: Vec<u32>,
     ibanks: Option<Vec<IResimBank>>,
     dbanks: Option<Vec<DResimBank>>,
-    deferred: Option<DeferredState>,
-    /// Miss-stream items awaiting [`StreamAnalyzer::take_sweep_items`]
-    /// (deferred-sweeps mode only).
-    sweep_stage: Vec<SweepItem>,
     /// Inline re-simulation staging (arena-style scratch, reused across
     /// blocks): stream items batch up per block and replay through the
     /// banks bank-major in [`StreamAnalyzer::replay_banks`], so each
@@ -923,7 +739,7 @@ impl StreamAnalyzer {
         let isize = cfg.icache.size_bytes;
         let dsize = cfg.l2d.size_bytes;
         let text_kb = (meta.layout.text_size() / 1024 + 1) as usize;
-        let (ibanks, dbanks) = if opts.online_sweeps && !opts.deferred_sweeps {
+        let (ibanks, dbanks) = if opts.online_sweeps {
             (
                 Some(
                     figure6_configs()
@@ -941,14 +757,6 @@ impl StreamAnalyzer {
         } else {
             (None, None)
         };
-        let deferred = opts.deferred_classification.then(|| DeferredState {
-            pending: (0..n).map(|_| Vec::new()).collect(),
-            msgs: Vec::new(),
-        });
-        assert!(
-            !(opts.hotlines && opts.deferred_classification),
-            "hot-line tracking requires inline classification"
-        );
         let hotline = opts.hotlines.then(|| {
             Box::new(crate::hotline::HotlineTracker::new(
                 n,
@@ -964,8 +772,6 @@ impl StreamAnalyzer {
             ppn_vpn: Vec::new(),
             ibanks,
             dbanks,
-            deferred,
-            sweep_stage: Vec::new(),
             iscratch: Vec::new(),
             dscratch: Vec::new(),
             os_i_sub_dense: Vec::new(),
@@ -1025,16 +831,7 @@ impl StreamAnalyzer {
     /// Installs a row sink: every record (passing `filter`, evaluated
     /// against window-relative time) is offered to `sink` as an
     /// enriched [`QueryRow`], with no effect on the analysis itself.
-    ///
-    /// # Panics
-    ///
-    /// Panics in deferred-classification mode — rows carry the miss
-    /// class, which deferred mode only learns at the end.
     pub fn set_row_sink(&mut self, filter: Option<RecordFilter>, sink: RowSink) {
-        assert!(
-            !self.opts.deferred_classification,
-            "row sink requires inline classification"
-        );
         self.row_selector = filter.map(oscar_machine::BlockSelector::new);
         self.row_filter = filter;
         self.row_sink = Some(sink);
@@ -1223,65 +1020,8 @@ impl StreamAnalyzer {
         }
     }
 
-    /// Drains the classification messages accumulated since the last
-    /// call (deferred mode; empty otherwise). Feed them, in order, to
-    /// every [`ClassShard`].
-    pub fn take_classify_msgs(&mut self) -> Vec<ClassifyMsg> {
-        match &mut self.deferred {
-            Some(d) => std::mem::take(&mut d.msgs),
-            None => Vec::new(),
-        }
-    }
-
-    /// Drains the sweep items staged since the last call
-    /// (deferred-sweeps mode; empty otherwise). Feed them, in order, to
-    /// every [`crate::resim::SweepShard`].
-    pub fn take_sweep_items(&mut self) -> Vec<SweepItem> {
-        std::mem::take(&mut self.sweep_stage)
-    }
-
-    /// Completes an inline-classification analysis.
-    ///
-    /// # Panics
-    ///
-    /// Panics in deferred mode (use
-    /// [`StreamAnalyzer::finish_deferred`]).
+    /// Completes the analysis.
     pub fn finish(mut self) -> TraceAnalysis {
-        assert!(
-            self.deferred.is_none(),
-            "deferred analyzer must finish with shard verdicts"
-        );
-        self.finish_common();
-        self.out
-    }
-
-    /// Completes a deferred-classification analysis by folding the
-    /// shards' per-CPU class sequences (indexed by CPU, in fill order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a CPU's class sequence does not match its fill count.
-    pub fn finish_deferred(mut self, classes: Vec<Vec<ArchClass>>) -> TraceAnalysis {
-        let d = self
-            .deferred
-            .take()
-            .expect("finish_deferred requires deferred mode");
-        assert_eq!(classes.len(), d.pending.len(), "one class list per CPU");
-        for (cpu, (pend, cls)) in d.pending.iter().zip(&classes).enumerate() {
-            assert_eq!(
-                pend.len(),
-                cls.len(),
-                "cpu {cpu}: classes must cover every fill"
-            );
-            for (p, &c) in pend.iter().zip(cls) {
-                fold_class(&mut self.out, p, c, cpu);
-            }
-        }
-        self.finish_common();
-        self.out
-    }
-
-    fn finish_common(&mut self) {
         // Stream items staged since the last block must reach the banks
         // before their points are read.
         self.replay_banks();
@@ -1322,6 +1062,7 @@ impl StreamAnalyzer {
                 h.finish(&self.meta.layout, self.opts.hotlines_top),
             ));
         }
+        self.out
     }
 
     fn finish_spans(&mut self) {
@@ -1360,8 +1101,6 @@ impl StreamAnalyzer {
     fn push_istream(&mut self, item: IStreamItem) {
         if self.ibanks.is_some() {
             self.iscratch.push(item);
-        } else if self.opts.online_sweeps && self.opts.deferred_sweeps {
-            self.sweep_stage.push(SweepItem::I(item));
         }
         if self.opts.keep_streams {
             self.out.istream.push(item);
@@ -1371,8 +1110,6 @@ impl StreamAnalyzer {
     fn push_dstream(&mut self, item: DStreamItem) {
         if self.dbanks.is_some() {
             self.dscratch.push(item);
-        } else if self.opts.online_sweeps && self.opts.deferred_sweeps {
-            self.sweep_stage.push(SweepItem::D(item));
         }
         if self.opts.keep_streams {
             self.out.dstream.push(item);
@@ -1496,13 +1233,8 @@ impl StreamAnalyzer {
                 self.cpus[i].ctx_stack.pop();
             }
             OsEvent::IcacheFlush { ppn } => {
-                match &mut self.deferred {
-                    Some(d) => d.msgs.push(ClassifyMsg::Flush { ppn }),
-                    None => {
-                        for ca in &mut self.cpus {
-                            ca.imirror.flush_page(Ppn(ppn));
-                        }
-                    }
+                for ca in &mut self.cpus {
+                    ca.imirror.flush_page(Ppn(ppn));
                 }
                 self.push_istream(IStreamItem::Flush { ppn });
             }
@@ -1545,7 +1277,7 @@ impl StreamAnalyzer {
         let mode = self.cpus[i].effective_mode();
         let os_fill = mode != Mode::User;
 
-        // --- Class-independent accounting (always sequential) ---
+        // --- Class-independent accounting ---
         match mode {
             Mode::Kernel => self.out.fills.os += 1,
             Mode::User => {
@@ -1570,8 +1302,7 @@ impl StreamAnalyzer {
             });
         }
 
-        // Attribution context, captured now so the class fold can run
-        // later (or immediately, in inline mode).
+        // Attribution context for the class fold below.
         let mut pending = PendingFill {
             mode,
             instr,
@@ -1633,17 +1364,9 @@ impl StreamAnalyzer {
             // class is Sharing by definition (no mirror lookup), but
             // other CPUs still lose the block.
             fold_class(&mut self.out, &pending, ArchClass::Sharing, i);
-            match &mut self.deferred {
-                Some(d) => d.msgs.push(ClassifyMsg::Upgrade {
-                    cpu: rec.cpu.0,
-                    block: block.0,
-                }),
-                None => {
-                    for (j, other) in self.cpus.iter_mut().enumerate() {
-                        if j != i {
-                            other.dmirror.invalidate(block);
-                        }
-                    }
+            for (j, other) in self.cpus.iter_mut().enumerate() {
+                if j != i {
+                    other.dmirror.invalidate(block);
                 }
             }
             if let Some(h) = &mut self.hotline {
@@ -1666,51 +1389,35 @@ impl StreamAnalyzer {
             return;
         }
 
-        let epoch = self.cpus[i].epoch;
-        match &mut self.deferred {
-            Some(d) => {
-                d.msgs.push(ClassifyMsg::Fill {
-                    cpu: rec.cpu.0,
-                    block: block.0,
-                    instr,
-                    os: os_fill,
-                    epoch,
-                    write,
-                });
-                d.pending[i].push(pending);
+        let ca = &mut self.cpus[i];
+        let class = if instr {
+            ca.imirror.classify_fill(block, os_fill, ca.epoch)
+        } else {
+            ca.dmirror.classify_fill(block, os_fill, ca.epoch)
+        };
+        // Coherence: writes invalidate other caches' copies.
+        if write && !instr {
+            for (j, other) in self.cpus.iter_mut().enumerate() {
+                if j != i {
+                    other.dmirror.invalidate(block);
+                }
             }
-            None => {
-                let ca = &mut self.cpus[i];
-                let class = if instr {
-                    ca.imirror.classify_fill(block, os_fill, epoch)
+        }
+        fold_class(&mut self.out, &pending, class, i);
+        if let Some(h) = &mut self.hotline {
+            if !instr {
+                let access = if write {
+                    crate::hotline::HotAccess::Write
                 } else {
-                    ca.dmirror.classify_fill(block, os_fill, epoch)
+                    crate::hotline::HotAccess::Read
                 };
-                // Coherence: writes invalidate other caches' copies.
-                if write && !instr {
-                    for (j, other) in self.cpus.iter_mut().enumerate() {
-                        if j != i {
-                            other.dmirror.invalidate(block);
-                        }
-                    }
-                }
-                fold_class(&mut self.out, &pending, class, i);
-                if let Some(h) = &mut self.hotline {
-                    if !instr {
-                        let access = if write {
-                            crate::hotline::HotAccess::Write
-                        } else {
-                            crate::hotline::HotAccess::Read
-                        };
-                        h.record(i, block.0, rec.sub, access, class, rec.time);
-                    }
-                }
-                if self.row_sink.is_some() {
-                    let op = (mode == Mode::Kernel).then(|| self.cpus[i].top_class());
-                    let region = Some(self.meta.layout.classify(rec.paddr));
-                    self.emit_row(&rec, mode, instr, Some(class), op, region);
-                }
+                h.record(i, block.0, rec.sub, access, class, rec.time);
             }
+        }
+        if self.row_sink.is_some() {
+            let op = (mode == Mode::Kernel).then(|| self.cpus[i].top_class());
+            let region = Some(self.meta.layout.classify(rec.paddr));
+            self.emit_row(&rec, mode, instr, Some(class), op, region);
         }
     }
 }
@@ -1809,57 +1516,6 @@ mod tests {
         let gt = art.os_stats.utlb_faults;
         let rel = (an.utlb.count as f64 - gt as f64).abs() / gt.max(1) as f64;
         assert!(rel < 0.25, "utlb: trace {} vs gt {}", an.utlb.count, gt);
-    }
-
-    /// Drives the deferred-classification path single-threaded and
-    /// checks it against the inline analyzer, field by field.
-    #[test]
-    fn deferred_sharded_classification_matches_inline() {
-        let art = run(&ExperimentConfig::new(WorkloadKind::Pmake)
-            .warmup(2_000_000)
-            .measure(3_000_000));
-        let inline = analyze(&art);
-
-        let shards = 3usize;
-        let mut workers: Vec<ClassShard> = (0..shards)
-            .map(|s| ClassShard::new(&art.machine_config, s, shards))
-            .collect();
-        let mut a = StreamAnalyzer::new(
-            TraceMeta::of(&art),
-            AnalyzeOptions {
-                deferred_classification: true,
-                ..AnalyzeOptions::default()
-            },
-        );
-        for &rec in &art.trace {
-            a.push(rec);
-            for msg in a.take_classify_msgs() {
-                for w in &mut workers {
-                    w.push(&msg);
-                }
-            }
-        }
-        let n = art.machine_config.num_cpus as usize;
-        let mut classes: Vec<Vec<ArchClass>> = vec![Vec::new(); n];
-        for w in workers {
-            for (cpu, cls) in w.finish() {
-                classes[cpu] = cls;
-            }
-        }
-        let sharded = a.finish_deferred(classes);
-
-        assert_eq!(inline.os, sharded.os);
-        assert_eq!(inline.app, sharded.app);
-        assert_eq!(inline.idle, sharded.idle);
-        assert_eq!(inline.sharing_by_source, sharded.sharing_by_source);
-        assert_eq!(inline.dispos_i_by_routine, sharded.dispos_i_by_routine);
-        assert_eq!(inline.dispos_i_bins_1k, sharded.dispos_i_bins_1k);
-        assert_eq!(inline.migration_by_region, sharded.migration_by_region);
-        assert_eq!(inline.migration_by_op, sharded.migration_by_op);
-        assert_eq!(inline.os_by_op, sharded.os_by_op);
-        assert_eq!(inline.fills, sharded.fills);
-        assert_eq!(inline.istream, sharded.istream);
-        assert_eq!(inline.dstream, sharded.dstream);
     }
 
     /// Online sweeps must equal the batch sweeps over the kept streams.

@@ -201,12 +201,6 @@ pub struct ReportRequest {
     /// On-disk snapshot cache directory
     /// ([`StreamOptions::checkpoint_dir`]).
     pub checkpoint_dir: Option<std::path::PathBuf>,
-    /// Analyzer pipeline width: classification shards and sweep workers
-    /// per run ([`StreamOptions::shards`] /
-    /// [`StreamOptions::sweep_workers`]). 0 or 1 keeps the serial
-    /// analyzer; exports are byte-identical at any width. The CLI's
-    /// `--pipeline auto` resolves to [`auto_pipeline`].
-    pub pipeline: usize,
     /// Collect per-stage occupancy rows
     /// ([`StreamOptions::stage_stats`]) into [`ReportOutput::phases`]
     /// as `stage/<tag>/...` entries (wall-clock only, for `--perf-out`;
@@ -229,25 +223,9 @@ impl ReportRequest {
             epoch_cycles: 0,
             epoch_jobs: 1,
             checkpoint_dir: None,
-            pipeline: 0,
             stage_stats: false,
         }
     }
-}
-
-/// Resolves `--pipeline auto`: analyzer workers per stage kind for one
-/// run, given `jobs` concurrent report runs sharing the host. A
-/// pipelined run occupies one producer thread, the analysis loop, and
-/// one classification shard plus one sweep worker per returned unit, so
-/// the width divides the per-run core share accordingly. Always at
-/// least 1 (the serial analyzer) and capped at 8 — the shard fan-out's
-/// returns diminish well before that on this workload mix.
-pub fn auto_pipeline(jobs: usize) -> usize {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let per_run = cores / jobs.max(1);
-    (per_run.saturating_sub(2) / 2).clamp(1, 8)
 }
 
 /// Everything one request produced.
@@ -295,8 +273,6 @@ fn run_one(req: &ReportRequest) -> ReportOutput {
         epoch_cycles: req.epoch_cycles,
         epoch_jobs: req.epoch_jobs,
         checkpoint_dir: req.checkpoint_dir.clone(),
-        shards: req.pipeline.max(1),
-        sweep_workers: req.pipeline.max(1),
         stage_stats: req.stage_stats,
         ..StreamOptions::default()
     };

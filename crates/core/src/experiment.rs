@@ -195,8 +195,8 @@ pub struct RunArtifacts {
     pub epoch_phases: Vec<crate::perf::PhaseStats>,
     /// Per-pipeline-stage timing rows (`stage/<name>`) when the run
     /// streamed with [`crate::pipeline::StreamOptions::stage_stats`]
-    /// on: producer, analyzer, classification shards and sweep workers,
-    /// each with busy/stall/starve seconds and channel-depth samples.
+    /// on: the producer and the analyzer, each with stall or starve
+    /// seconds and channel-depth samples.
     /// Wall-clock data, so it feeds the perf summary, never the metrics
     /// export. Empty otherwise.
     pub stage_phases: Vec<crate::perf::PhaseStats>,

@@ -13,8 +13,10 @@
 //! segments off the machine before the 2M-record buffer fills) played
 //! the same role for the real monitor.
 //!
-//! With [`StreamOptions::shards`] > 1 the per-CPU cache-mirror
-//! classification is additionally fanned out to [`ClassShard`] workers.
+//! The analysis itself is one sequential pass on the calling thread.
+//! The simulator is usually the slower stage, and splitting the
+//! analysis across more threads was measured to buy no wall time (see
+//! `EXPERIMENTS.md`, "Multi-core single-run pipeline").
 //!
 //! Both the simulation and the analysis are deterministic, so the
 //! streamed result is byte-identical to the batch path; the tests (and
@@ -28,15 +30,14 @@ use std::time::{Duration, Instant};
 
 use oscar_machine::monitor::{BusRecord, RecordBlock, RecordFilter, TraceSink};
 
-use crate::analyze::{
-    AnalyzeOptions, ClassShard, ClassifyMsg, RowSink, StreamAnalyzer, SweepItem, TraceAnalysis,
-    TraceMeta,
-};
-use crate::classify::ArchClass;
+use crate::analyze::{AnalyzeOptions, RowSink, StreamAnalyzer, TraceAnalysis, TraceMeta};
 use crate::experiment::{ExperimentConfig, RunArtifacts};
 use crate::observe::{assemble_run_obs, PipelineObs, TimelineBuilder};
 use crate::perf::PhaseStats;
-use crate::resim::SweepShard;
+
+/// Channel capacity in chunks: the producer stalls once this many
+/// chunks are in flight, bounding peak memory.
+const CHANNEL_CHUNKS: usize = 32;
 
 /// Tuning of the streaming pipeline.
 #[derive(Debug, Clone)]
@@ -44,27 +45,15 @@ pub struct StreamOptions {
     /// Records batched per channel message (amortizes channel
     /// synchronization; the value does not affect results).
     pub chunk_records: usize,
-    /// Channel capacity in chunks: the producer stalls once this many
-    /// chunks are in flight, bounding peak memory.
-    pub channel_chunks: usize,
-    /// Classification shard workers; 1 classifies inline on the
-    /// analysis thread.
-    pub shards: usize,
-    /// Resimulation sweep workers: with a value > 1 (and
-    /// [`StreamOptions::online_sweeps`] on) the Figure 6 / D-cache bank
-    /// replay — the analysis thread's dominant cost — is dealt
-    /// round-robin across this many [`SweepShard`] threads. 0 or 1 runs
-    /// the sweeps inline. Results are identical either way.
-    pub sweep_workers: usize,
     /// Also materialize the trace into the returned
     /// [`RunArtifacts::trace`] (for saving to disk; defeats the
     /// bounded-memory property).
     pub keep_trace: bool,
-    /// Run the Figure 6 / D-cache sweeps online (they otherwise need
-    /// the materialized miss streams).
+    /// Run the Figure 6 / D-cache sweeps online. The streamed analysis
+    /// keeps no `istream`/`dstream` (bounded memory), so with this off
+    /// it carries no sweep points at all; queries, which need none,
+    /// turn it off.
     pub online_sweeps: bool,
-    /// Keep the materialized `istream`/`dstream` in the analysis.
-    pub keep_streams: bool,
     /// Enable observability: kernel probes, a live timeline decoder on
     /// the monitor stream (second sink via the fan-out), and pipeline
     /// self-metrics, delivered in [`RunArtifacts::obs`]. Off by
@@ -72,15 +61,12 @@ pub struct StreamOptions {
     /// work happens.
     pub observe: bool,
     /// Accumulate per-cell exhibit provenance
-    /// ([`crate::analyze::ExhibitProvenance`]) while analyzing. Forces
-    /// inline classification and inline sweeps (the per-CPU resim bank
-    /// counters live on the analysis thread); off by default and free
-    /// when off.
+    /// ([`crate::analyze::ExhibitProvenance`]) while analyzing; off by
+    /// default and free when off.
     pub provenance: bool,
     /// Track per-block contention and materialize the symbolized
-    /// hot-line exhibit ([`TraceAnalysis::hotlines`]). Forces inline
-    /// classification (the tracker consumes class verdicts
-    /// access-by-access); off by default and free when off.
+    /// hot-line exhibit ([`TraceAnalysis::hotlines`]); off by default
+    /// and free when off.
     pub hotlines: bool,
     /// Top contended lines kept by the hot-line exhibit.
     pub hotlines_top: usize,
@@ -102,10 +88,9 @@ pub struct StreamOptions {
     pub checkpoint_dir: Option<std::path::PathBuf>,
     /// Collect per-stage occupancy rows
     /// ([`RunArtifacts::stage_phases`]): wall/stall/starve seconds and
-    /// channel-depth samples for the producer, the analysis loop and
-    /// every shard/sweep worker. Costs one `try_send`/`try_recv` probe
-    /// per channel operation; off by default and free when off. Never
-    /// affects results.
+    /// channel-depth samples for the producer and the analysis loop.
+    /// Costs one `try_send`/`try_recv` probe per channel operation; off
+    /// by default and free when off. Never affects results.
     pub stage_stats: bool,
 }
 
@@ -113,12 +98,8 @@ impl Default for StreamOptions {
     fn default() -> Self {
         StreamOptions {
             chunk_records: 4096,
-            channel_chunks: 32,
-            shards: 1,
-            sweep_workers: 1,
             keep_trace: false,
             online_sweeps: true,
-            keep_streams: false,
             observe: false,
             provenance: false,
             hotlines: false,
@@ -150,14 +131,14 @@ impl StallCell {
     }
 }
 
-/// Consumer-side occupancy accumulator for one pipeline stage.
+/// Consumer-side occupancy accumulator for the analysis stage.
 #[derive(Debug, Default)]
 struct StageAcc {
     /// Total stage lifetime.
     wall: Duration,
     /// Time blocked receiving from an empty upstream channel.
     starve: Duration,
-    /// Records (or batch items) processed.
+    /// Records processed.
     records: u64,
     /// Upstream channel depth samples, taken at each receive.
     depth_max: u64,
@@ -382,8 +363,7 @@ pub fn run_streaming_with(
 /// [`crate::analyze::QueryRow`] per trace record that passes `filter`,
 /// fully enriched (mode, miss class, OS operation, kernel region) as
 /// the analyzer decodes it. The hook runs on the calling thread, so the
-/// sink may capture non-`Send` state; classification shards and sweep
-/// workers are forced inline. This is the pushdown path behind
+/// sink may capture non-`Send` state. This is the pushdown path behind
 /// `oscar-reports query`: aggregation happens per record and memory
 /// stays bounded regardless of trace length.
 pub fn run_streaming_rows(
@@ -406,28 +386,15 @@ fn run_streaming_inner(
     opts: &StreamOptions,
     row_hook: Option<(Option<RecordFilter>, RowSink)>,
 ) -> (RunArtifacts, TraceAnalysis) {
-    // Provenance reads the per-CPU resim bank counters, a row sink
-    // needs records enriched as they stream by, and the hot-line
-    // tracker consumes class verdicts access-by-access — each forces
-    // the classification and the sweeps inline on the analysis thread.
-    let inline_only = opts.provenance || opts.hotlines || row_hook.is_some();
-    let shards = if inline_only { 1 } else { opts.shards.max(1) };
-    let sweep_workers = if opts.online_sweeps && !inline_only {
-        opts.sweep_workers.max(1)
-    } else {
-        1
-    };
     let aopts = AnalyzeOptions {
         online_sweeps: opts.online_sweeps,
-        keep_streams: opts.keep_streams,
-        deferred_classification: shards > 1,
-        deferred_sweeps: sweep_workers > 1,
+        keep_streams: false,
         provenance: opts.provenance,
         hotlines: opts.hotlines,
         hotlines_top: opts.hotlines_top,
     };
     let chunk_records = opts.chunk_records.max(1);
-    let (tx, rx) = sync_channel::<StreamMsg>(opts.channel_chunks.max(1));
+    let (tx, rx) = sync_channel::<StreamMsg>(CHANNEL_CHUNKS);
     let observe = opts.observe;
     let stage_stats = opts.stage_stats;
     let chan_depth = (observe || stage_stats).then(|| Arc::new(AtomicUsize::new(0)));
@@ -507,85 +474,6 @@ fn run_streaming_inner(
             (art, kernel_obs, built, prod_t0.elapsed())
         });
 
-        // Optional sweep workers, each owning a round-robin share of the
-        // Figure 6 / D-cache resimulation banks and replaying the full
-        // staged miss stream (shipped once, shared via `Arc`).
-        let num_cpus = config.machine.num_cpus as usize;
-        let mut sweep_txs = Vec::new();
-        let mut sweep_depths: Vec<Option<Arc<AtomicUsize>>> = Vec::new();
-        let mut sweep_handles = Vec::new();
-        if sweep_workers > 1 {
-            for w in 0..sweep_workers {
-                let (stx, srx) = sync_channel::<Arc<Vec<SweepItem>>>(opts.channel_chunks.max(1));
-                sweep_txs.push(stx);
-                let depth = stage_stats.then(|| Arc::new(AtomicUsize::new(0)));
-                sweep_depths.push(depth.clone());
-                sweep_handles.push(s.spawn(move || {
-                    let t0 = Instant::now();
-                    let mut acc = StageAcc::default();
-                    let mut shard = SweepShard::new(num_cpus, w, sweep_workers);
-                    if stage_stats {
-                        while let Some(batch) = recv_timed(&srx, &mut acc) {
-                            if let Some(d) = &depth {
-                                acc.sample_depth(d.fetch_sub(1, Ordering::Relaxed) as u64);
-                            }
-                            acc.records += batch.len() as u64;
-                            for item in batch.iter() {
-                                shard.push(item);
-                            }
-                        }
-                    } else {
-                        for batch in srx {
-                            for item in batch.iter() {
-                                shard.push(item);
-                            }
-                        }
-                    }
-                    acc.wall = t0.elapsed();
-                    (shard.finish(), stage_stats.then_some(acc))
-                }));
-            }
-        }
-
-        // Optional classification shards, each owning a subset of the
-        // CPUs' cache mirrors and replaying the same message stream.
-        let mut shard_txs = Vec::new();
-        let mut shard_depths: Vec<Option<Arc<AtomicUsize>>> = Vec::new();
-        let mut shard_handles = Vec::new();
-        if shards > 1 {
-            for sh in 0..shards {
-                let (stx, srx) = sync_channel::<Vec<ClassifyMsg>>(opts.channel_chunks.max(1));
-                shard_txs.push(stx);
-                let depth = stage_stats.then(|| Arc::new(AtomicUsize::new(0)));
-                shard_depths.push(depth.clone());
-                let cfg = &config.machine;
-                shard_handles.push(s.spawn(move || {
-                    let t0 = Instant::now();
-                    let mut acc = StageAcc::default();
-                    let mut shard = ClassShard::new(cfg, sh, shards);
-                    if stage_stats {
-                        while let Some(batch) = recv_timed(&srx, &mut acc) {
-                            if let Some(d) = &depth {
-                                acc.sample_depth(d.fetch_sub(1, Ordering::Relaxed) as u64);
-                            }
-                            acc.records += batch.len() as u64;
-                            for msg in &batch {
-                                shard.push(msg);
-                            }
-                        }
-                    } else {
-                        for batch in srx {
-                            for msg in &batch {
-                                shard.push(msg);
-                            }
-                        }
-                    }
-                    acc.wall = t0.elapsed();
-                    (shard.finish(), stage_stats.then_some(acc))
-                }));
-            }
-        }
-
         // Analysis stage, on the calling thread.
         let mut analyzer: Option<StreamAnalyzer> = None;
         let mut kept: Vec<BusRecord> = Vec::new();
@@ -634,33 +522,10 @@ fn run_streaming_inner(
                             acc.sample_depth(depth);
                         }
                     }
-                    let a = analyzer
+                    analyzer
                         .as_mut()
-                        .expect("trace metadata must precede records");
-                    a.push_block(&recs);
-                    if !sweep_txs.is_empty() {
-                        let items = a.take_sweep_items();
-                        if !items.is_empty() {
-                            let batch = Arc::new(items);
-                            for (stx, d) in sweep_txs.iter().zip(&sweep_depths) {
-                                if let Some(d) = d {
-                                    d.fetch_add(1, Ordering::Relaxed);
-                                }
-                                stx.send(Arc::clone(&batch)).ok();
-                            }
-                        }
-                    }
-                    if !shard_txs.is_empty() {
-                        let msgs = a.take_classify_msgs();
-                        if !msgs.is_empty() {
-                            for (stx, d) in shard_txs.iter().zip(&shard_depths) {
-                                if let Some(d) = d {
-                                    d.fetch_add(1, Ordering::Relaxed);
-                                }
-                                stx.send(msgs.clone()).ok();
-                            }
-                        }
-                    }
+                        .expect("trace metadata must precede records")
+                        .push_block(&recs);
                     if opts.keep_trace {
                         kept.extend(recs.iter());
                     }
@@ -673,49 +538,9 @@ fn run_streaming_inner(
 
         let (mut art, kernel_obs, built, prod_wall) =
             producer.join().expect("simulation thread panicked");
-        let analyzer = analyzer.expect("simulation ended without trace metadata");
-        let mut class_accs: Vec<StageAcc> = Vec::new();
-        let mut sweep_accs: Vec<StageAcc> = Vec::new();
-        let mut an = if shards > 1 {
-            drop(shard_txs);
-            let mut classes: Vec<Vec<ArchClass>> = vec![Vec::new(); num_cpus];
-            for h in shard_handles {
-                let (verdicts, acc) = h.join().expect("classification shard panicked");
-                for (cpu, cls) in verdicts {
-                    classes[cpu] = cls;
-                }
-                class_accs.extend(acc);
-            }
-            analyzer.finish_deferred(classes)
-        } else {
-            analyzer.finish()
-        };
-        if sweep_workers > 1 {
-            drop(sweep_txs);
-            let mut fig6 = vec![None; crate::resim::figure6_configs().len()];
-            let mut dcache = vec![None; crate::resim::dcache_configs().len()];
-            for h in sweep_handles {
-                let ((ipts, dpts), acc) = h.join().expect("sweep worker panicked");
-                sweep_accs.extend(acc);
-                for (k, p) in ipts {
-                    fig6[k] = Some(p);
-                }
-                for (k, p) in dpts {
-                    dcache[k] = Some(p);
-                }
-            }
-            an.fig6 = Some(
-                fig6.into_iter()
-                    .map(|p| p.expect("missing fig6 point"))
-                    .collect(),
-            );
-            an.dcache = Some(
-                dcache
-                    .into_iter()
-                    .map(|p| p.expect("missing dcache point"))
-                    .collect(),
-            );
-        }
+        let an = analyzer
+            .expect("simulation ended without trace metadata")
+            .finish();
         if opts.keep_trace {
             art.trace = kept;
         }
@@ -733,13 +558,6 @@ fn run_streaming_inner(
             });
             if let Some(acc) = &an_acc {
                 art.stage_phases.push(acc.row("stage/analyze".into()));
-            }
-            for (k, acc) in class_accs.iter().enumerate() {
-                art.stage_phases
-                    .push(acc.row(format!("stage/classify/{k}")));
-            }
-            for (w, acc) in sweep_accs.iter().enumerate() {
-                art.stage_phases.push(acc.row(format!("stage/sweep/{w}")));
             }
         }
         if let (Some(p), Some((timeline, mut metrics, cpu_fills))) = (pobs, built) {
@@ -779,7 +597,6 @@ mod tests {
 
         let opts = StreamOptions {
             keep_trace: true,
-            shards: 2,
             chunk_records: 1000, // odd size: exercise partial-chunk flush
             ..StreamOptions::default()
         };
@@ -803,8 +620,6 @@ mod tests {
         let base_report = crate::report::render_all(&base_art, &base_an);
 
         let opts = StreamOptions {
-            shards: 2,
-            sweep_workers: 2,
             stage_stats: true,
             ..StreamOptions::default()
         };
@@ -815,17 +630,7 @@ mod tests {
             "stage stats must not perturb results"
         );
         let ids: Vec<&str> = art.stage_phases.iter().map(|p| p.id.as_str()).collect();
-        assert_eq!(
-            ids,
-            [
-                "stage/produce",
-                "stage/analyze",
-                "stage/classify/0",
-                "stage/classify/1",
-                "stage/sweep/0",
-                "stage/sweep/1"
-            ]
-        );
+        assert_eq!(ids, ["stage/produce", "stage/analyze"]);
         let produce = &art.stage_phases[0];
         assert!(produce.records > 0);
         assert!(produce.stall_s.is_some() && produce.starve_s.is_none());
@@ -833,9 +638,6 @@ mod tests {
         assert_eq!(analyze.records, produce.records);
         assert!(analyze.starve_s.is_some() && analyze.stall_s.is_none());
         assert!(analyze.chan_depth_max.is_some() && analyze.chan_depth_mean.is_some());
-        for p in &art.stage_phases[2..] {
-            assert!(p.wall_s >= 0.0 && p.starve_s.is_some());
-        }
     }
 
     #[test]

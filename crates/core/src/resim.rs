@@ -351,77 +351,6 @@ pub fn dcache_sweep(dstream: &[DStreamItem], num_cpus: usize) -> Vec<DResimPoint
         .collect()
 }
 
-/// Sweep points tagged with their index into [`figure6_configs`], as
-/// returned by [`SweepShard::finish`].
-pub type TaggedIPoints = Vec<(usize, ResimPoint)>;
-/// Sweep points tagged with their index into [`dcache_configs`], as
-/// returned by [`SweepShard::finish`].
-pub type TaggedDPoints = Vec<(usize, DResimPoint)>;
-
-/// One worker's share of the online resimulation sweeps.
-///
-/// The Figure 6 and D-cache geometries are dealt round-robin across
-/// `shards` workers; each worker replays the full interleaved miss
-/// stream ([`crate::analyze::SweepItem`]) into its banks only. Since
-/// every bank is independent and sees the same stream it would see
-/// inline, the assembled points are identical to an inline sweep — the
-/// fan-out buys wall-clock time, not different answers.
-#[derive(Debug)]
-pub struct SweepShard {
-    ibanks: Vec<(usize, IResimBank)>,
-    dbanks: Vec<(usize, DResimBank)>,
-}
-
-impl SweepShard {
-    /// The banks geometry-index `k` owns under round-robin dealing:
-    /// worker `shard` of `shards` takes every geometry with
-    /// `k % shards == shard`, counting Figure 6 geometries first.
-    pub fn new(num_cpus: usize, shard: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let igeom = figure6_configs();
-        let ni = igeom.len();
-        let mut ibanks = Vec::new();
-        let mut dbanks = Vec::new();
-        for (k, c) in igeom.into_iter().chain(dcache_configs()).enumerate() {
-            if k % shards != shard {
-                continue;
-            }
-            if k < ni {
-                ibanks.push((k, IResimBank::new(num_cpus, c)));
-            } else {
-                dbanks.push((k - ni, DResimBank::new(num_cpus, c)));
-            }
-        }
-        SweepShard { ibanks, dbanks }
-    }
-
-    /// Replays one item into every bank of the matching stream kind.
-    pub fn push(&mut self, item: &crate::analyze::SweepItem) {
-        match item {
-            crate::analyze::SweepItem::I(i) => {
-                for (_, b) in &mut self.ibanks {
-                    b.push(i);
-                }
-            }
-            crate::analyze::SweepItem::D(d) => {
-                for (_, b) in &mut self.dbanks {
-                    b.push(d);
-                }
-            }
-        }
-    }
-
-    /// The accumulated points, each tagged with its index into
-    /// [`figure6_configs`] / [`dcache_configs`] respectively, so the
-    /// caller can reassemble the sweeps in geometry order.
-    pub fn finish(self) -> (TaggedIPoints, TaggedDPoints) {
-        (
-            self.ibanks.iter().map(|(k, b)| (*k, b.point())).collect(),
-            self.dbanks.iter().map(|(k, b)| (*k, b.point())).collect(),
-        )
-    }
-}
-
 #[cfg(test)]
 mod dtests {
     use super::*;

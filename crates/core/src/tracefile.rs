@@ -48,6 +48,10 @@ fn kind_from(code: u8) -> io::Result<BusKind> {
     })
 }
 
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
 fn write_u64(w: &mut impl Write, v: u64) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
 }
@@ -56,6 +60,12 @@ fn read_u64(r: &mut impl Read) -> io::Result<u64> {
     let mut b = [0u8; 8];
     r.read_exact(&mut b)?;
     Ok(u64::from_le_bytes(b))
+}
+
+/// Reads a header count stored as `u64` that must fit a `u8`.
+fn read_u8_field(r: &mut impl Read, name: &str) -> io::Result<u8> {
+    let v = read_u64(r)?;
+    u8::try_from(v).map_err(|_| invalid(format!("{name} {v} out of range")))
 }
 
 fn workload_code(w: WorkloadKind) -> u64 {
@@ -123,21 +133,36 @@ pub fn save(art: &RunArtifacts, w: &mut impl Write) -> io::Result<()> {
 ///
 /// # Errors
 ///
-/// Returns `InvalidData` for malformed files and propagates reader
-/// errors.
+/// Returns `InvalidData` for malformed files — including a header that
+/// describes an invalid machine, a window that ends before it starts,
+/// or a record from a CPU the machine does not have — and propagates
+/// reader errors.
 pub fn load(r: &mut impl Read) -> io::Result<RunArtifacts> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "bad magic"));
     }
-    let num_cpus = read_u64(r)? as u8;
-    let clusters = read_u64(r)? as u8;
+    let num_cpus = read_u8_field(r, "num_cpus")?;
+    let clusters = read_u8_field(r, "clusters")?;
     let remote_fill_extra = read_u64(r)?;
     let memory_bytes = read_u64(r)?;
-    let replicas = read_u64(r)? as u8;
+    let replicas = read_u8_field(r, "replicas")?;
+    let mut machine_config = MachineConfig::sgi_4d340();
+    machine_config.num_cpus = num_cpus;
+    machine_config.clusters = clusters;
+    machine_config.remote_fill_extra = remote_fill_extra;
+    machine_config.memory_bytes = memory_bytes;
+    machine_config
+        .validate()
+        .map_err(|e| invalid(format!("bad machine: {e}")))?;
     let measure_start = read_u64(r)?;
     let measure_end = read_u64(r)?;
+    if measure_end < measure_start {
+        return Err(invalid(format!(
+            "window ends at {measure_end}, before its start {measure_start}"
+        )));
+    }
     let workload = workload_from(read_u64(r)?)?;
     let order_len = read_u64(r)? as usize;
     if order_len != Rid::ALL.len() {
@@ -147,17 +172,16 @@ pub fn load(r: &mut impl Read) -> io::Result<RunArtifacts> {
         ));
     }
     let mut order = Vec::with_capacity(order_len);
+    let mut seen = vec![false; order_len];
     for _ in 0..order_len {
         let mut b = [0u8; 2];
         r.read_exact(&mut b)?;
         let idx = u16::from_le_bytes(b) as usize;
-        let rid = *Rid::ALL.get(idx).ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad routine index {idx}"),
-            )
-        })?;
-        order.push(rid);
+        if seen.get(idx).copied() != Some(false) {
+            return Err(invalid(format!("bad or repeated routine index {idx}")));
+        }
+        seen[idx] = true;
+        order.push(Rid::ALL[idx]);
     }
     let n = read_u64(r)? as usize;
     let mut trace = Vec::with_capacity(n.min(1 << 24));
@@ -165,6 +189,12 @@ pub fn load(r: &mut impl Read) -> io::Result<RunArtifacts> {
         let time = read_u64(r)?;
         let mut b = [0u8; 2];
         r.read_exact(&mut b)?;
+        if b[0] >= num_cpus {
+            return Err(invalid(format!(
+                "record from cpu {} on a {num_cpus}-CPU machine",
+                b[0]
+            )));
+        }
         let kind = kind_from(b[1])?;
         let paddr = PAddr::new(read_u64(r)?);
         let mut s = [0u8; 1];
@@ -178,11 +208,6 @@ pub fn load(r: &mut impl Read) -> io::Result<RunArtifacts> {
         });
     }
 
-    let mut machine_config = MachineConfig::sgi_4d340();
-    machine_config.num_cpus = num_cpus;
-    machine_config.clusters = clusters.max(1);
-    machine_config.remote_fill_extra = remote_fill_extra;
-    machine_config.memory_bytes = memory_bytes;
     let layout = Layout::with_order_and_replicas(memory_bytes, order, replicas.max(1));
     Ok(RunArtifacts {
         trace_records: trace.len() as u64,
@@ -237,6 +262,46 @@ mod tests {
         let mut bad = MAGIC.to_vec();
         bad.extend_from_slice(&[0u8; 16]);
         assert!(load(&mut bad.as_slice()).is_err());
+    }
+
+    /// Byte offset of header field `i` (the `u64`s after the magic, in
+    /// `save` order: num_cpus, clusters, remote_fill_extra,
+    /// memory_bytes, replicas, measure_start, measure_end, ...).
+    fn field(i: usize) -> usize {
+        MAGIC.len() + 8 * i
+    }
+
+    /// Each malformed file used to abort the analyzer or report a
+    /// nonsense window; each must now fail to load with `InvalidData`.
+    #[test]
+    fn rejects_malformed_machine_window_and_records() {
+        let art = run(&ExperimentConfig::new(WorkloadKind::Pmake)
+            .warmup(500_000)
+            .measure(500_000));
+        assert!(!art.trace.is_empty());
+        let mut good = Vec::new();
+        save(&art, &mut good).expect("save");
+        assert!(load(&mut good.as_slice()).is_ok(), "unpatched file loads");
+        let start = u64::from_le_bytes(good[field(5)..field(6)].try_into().unwrap());
+        // Nine header fields, the routine order, the record count, then
+        // the first record's time and its CPU byte.
+        let cpu_byte = field(9) + 2 * Rid::ALL.len() + 8 + 8;
+        let patches: [(&str, usize, Vec<u8>); 3] = [
+            // 256 CPUs used to wrap to 0 when narrowed.
+            ("num_cpus 256", field(0), 256u64.to_le_bytes().to_vec()),
+            (
+                "window ends before it starts",
+                field(6),
+                (start - 1).to_le_bytes().to_vec(),
+            ),
+            ("record from cpu 200", cpu_byte, vec![200]),
+        ];
+        for (what, at, bytes) in patches {
+            let mut buf = good.clone();
+            buf[at..at + bytes.len()].copy_from_slice(&bytes);
+            let err = load(&mut buf.as_slice()).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        }
     }
 
     #[test]

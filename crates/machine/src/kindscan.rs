@@ -15,16 +15,16 @@
 //!   (`(y & 0x7f..) + 0x7f.. | y`, no cross-lane carries, so no false
 //!   positives) and a multiply-gather movemask. Portable — this is the
 //!   default on non-x86 targets.
-//! - **`std::arch` x86_64**: `_mm_cmpeq_epi8`/`_mm_movemask_epi8` over
-//!   16 lanes (SSE2, baseline on x86_64) or 32 lanes (AVX2, behind
-//!   [`std::arch::is_x86_feature_detected!`]).
+//! - **SSE2**: `_mm_cmpeq_epi8`/`_mm_movemask_epi8` over 16 lanes.
+//!   SSE2 is part of the x86_64 baseline, so this needs no runtime
+//!   feature detection; it is the default on x86_64.
 //!
-//! The backend is picked once per process ([`active_backend`]); every
+//! The backend is fixed at compile time ([`active_backend`]); every
 //! backend produces bit-identical bitmaps (the differential tests in
 //! this module and `machine_micro`'s `kindscan/*` bench group hold the
-//! equivalence and the speed respectively).
-
-use std::sync::OnceLock;
+//! equivalence and the speed respectively). Wider vector paths were
+//! left out on purpose: the scan is a few microseconds per 64 Ki
+//! records, invisible next to the simulator's cost per record.
 
 /// Which scan implementation services [`select_eq_any`] / [`count_eq`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,8 +35,6 @@ pub enum Backend {
     Swar,
     /// 16-lane SSE2 (`x86_64` baseline).
     Sse2,
-    /// 32-lane AVX2 (runtime-detected).
-    Avx2,
 }
 
 impl Backend {
@@ -46,43 +44,26 @@ impl Backend {
             Backend::Scalar => "scalar",
             Backend::Swar => "swar",
             Backend::Sse2 => "sse2",
-            Backend::Avx2 => "avx2",
         }
     }
 }
 
-/// The backend the dispatching entry points use, chosen once per
-/// process: AVX2 if the CPU has it, SSE2 otherwise on x86_64, SWAR
+/// The backend the dispatching entry points use: SSE2 on x86_64, SWAR
 /// elsewhere.
-pub fn active_backend() -> Backend {
-    static ACTIVE: OnceLock<Backend> = OnceLock::new();
-    *ACTIVE.get_or_init(|| {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                Backend::Avx2
-            } else {
-                Backend::Sse2
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            Backend::Swar
-        }
-    })
+pub const fn active_backend() -> Backend {
+    if cfg!(target_arch = "x86_64") {
+        Backend::Sse2
+    } else {
+        Backend::Swar
+    }
 }
 
-/// The backends available on this host (for differential tests and
-/// benches): always scalar and SWAR, plus the x86_64 vector paths the
-/// CPU supports.
+/// The backends available on this target (for differential tests and
+/// benches): always scalar and SWAR, plus SSE2 on x86_64.
 pub fn available_backends() -> Vec<Backend> {
     let mut v = vec![Backend::Scalar, Backend::Swar];
-    #[cfg(target_arch = "x86_64")]
-    {
+    if cfg!(target_arch = "x86_64") {
         v.push(Backend::Sse2);
-        if std::arch::is_x86_feature_detected!("avx2") {
-            v.push(Backend::Avx2);
-        }
     }
     v
 }
@@ -95,12 +76,8 @@ pub fn select_eq_any(codes: &[u8], values: &[u8], out: &mut Vec<u64>) {
     select_eq_any_with(active_backend(), codes, values, out);
 }
 
-/// [`select_eq_any`] on an explicit backend.
-///
-/// # Panics
-///
-/// Panics if `backend` names a vector path this CPU does not support
-/// (guard with [`available_backends`]).
+/// [`select_eq_any`] on an explicit backend. On targets other than
+/// x86_64 a request for SSE2 runs the scalar loop.
 pub fn select_eq_any_with(backend: Backend, codes: &[u8], values: &[u8], out: &mut Vec<u64>) {
     out.clear();
     out.resize(codes.len().div_ceil(64), 0);
@@ -109,16 +86,8 @@ pub fn select_eq_any_with(backend: Backend, codes: &[u8], values: &[u8], out: &m
         Backend::Swar => select_swar(codes, values, out),
         #[cfg(target_arch = "x86_64")]
         Backend::Sse2 => unsafe { select_sse2(codes, values, out) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => {
-            assert!(
-                std::arch::is_x86_feature_detected!("avx2"),
-                "avx2 backend requested without CPU support"
-            );
-            unsafe { select_avx2(codes, values, out) }
-        }
         #[cfg(not(target_arch = "x86_64"))]
-        _ => select_scalar(codes, values, out),
+        Backend::Sse2 => select_scalar(codes, values, out),
     }
 }
 
@@ -127,7 +96,7 @@ pub fn count_eq(codes: &[u8], value: u8) -> u64 {
     count_eq_with(active_backend(), codes, value)
 }
 
-/// [`count_eq`] on an explicit backend (same support caveat as
+/// [`count_eq`] on an explicit backend (same fallback as
 /// [`select_eq_any_with`]).
 pub fn count_eq_with(backend: Backend, codes: &[u8], value: u8) -> u64 {
     match backend {
@@ -135,16 +104,8 @@ pub fn count_eq_with(backend: Backend, codes: &[u8], value: u8) -> u64 {
         Backend::Swar => count_swar(codes, value),
         #[cfg(target_arch = "x86_64")]
         Backend::Sse2 => unsafe { count_sse2(codes, value) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => {
-            assert!(
-                std::arch::is_x86_feature_detected!("avx2"),
-                "avx2 backend requested without CPU support"
-            );
-            unsafe { count_avx2(codes, value) }
-        }
         #[cfg(not(target_arch = "x86_64"))]
-        _ => codes.iter().filter(|&&c| c == value).count() as u64,
+        Backend::Sse2 => codes.iter().filter(|&&c| c == value).count() as u64,
     }
 }
 
@@ -268,44 +229,6 @@ unsafe fn count_sse2(codes: &[u8], value: u8) -> u64 {
     n + chunks.remainder().iter().filter(|&&c| c == value).count() as u64
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn select_avx2(codes: &[u8], values: &[u8], out: &mut [u64]) {
-    use std::arch::x86_64::*;
-    let mut chunks = codes.chunks_exact(32);
-    let mut lane = 0usize;
-    for chunk in &mut chunks {
-        let x = _mm256_loadu_si256(chunk.as_ptr() as *const __m256i);
-        let mut m = _mm256_setzero_si256();
-        for &v in values {
-            m = _mm256_or_si256(m, _mm256_cmpeq_epi8(x, _mm256_set1_epi8(v as i8)));
-        }
-        let mask = _mm256_movemask_epi8(m) as u32 as u64;
-        out[lane / 64] |= mask << (lane % 64);
-        lane += 32;
-    }
-    for (i, &c) in chunks.remainder().iter().enumerate() {
-        if values.contains(&c) {
-            let j = lane + i;
-            out[j / 64] |= 1u64 << (j % 64);
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn count_avx2(codes: &[u8], value: u8) -> u64 {
-    use std::arch::x86_64::*;
-    let v = _mm256_set1_epi8(value as i8);
-    let mut chunks = codes.chunks_exact(32);
-    let mut n = 0u64;
-    for chunk in &mut chunks {
-        let x = _mm256_loadu_si256(chunk.as_ptr() as *const __m256i);
-        n += u64::from((_mm256_movemask_epi8(_mm256_cmpeq_epi8(x, v)) as u32).count_ones());
-    }
-    n + chunks.remainder().iter().filter(|&&c| c == value).count() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,7 +248,7 @@ mod tests {
 
     #[test]
     fn backends_agree_on_randomized_columns() {
-        // Ragged lengths around the 8/16/32/64-lane boundaries, byte
+        // Ragged lengths around the 8/16/64-lane boundaries, byte
         // alphabets matching the kind column (5 values) and a wider
         // one, and several accept sets including empty and full.
         let lens = [0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 4096, 5000];

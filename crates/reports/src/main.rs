@@ -64,17 +64,6 @@ flags:
                      all outputs are byte-identical for any N). With
                      --epoch-cycles the same N also re-executes epochs
                      in parallel within each run.
-  --pipeline W       multi-core single-run pipeline: fan the analyzer's
-                     classification and resim-sweep work out to W
-                     shard workers per run, overlapped with the
-                     simulation producer over the bounded channel.
-                     W = auto sizes from the host core count and
-                     --jobs; off | 0 | 1 keeps the serial analyzer
-                     (default: off). All outputs are byte-identical at
-                     any W; composes with --jobs and --epoch-cycles.
-                     Forced serial for runs that need inline
-                     classification (--provenance-out, --hotlines-out,
-                     query mode)
   --epoch-cycles N   time-parallel simulation: sweep the measured
                      window once monitor-off, checkpoint every N
                      cycles, then re-execute the epochs concurrently.
@@ -90,8 +79,8 @@ flags:
   --from-trace FILE  skip simulation; analyze a saved trace instead
   --perf-out FILE    write a BENCH_*.json-style perf summary
                      (wall-clock rates, plus per-stage occupancy rows —
-                     stage/<tag>/{produce,analyze,classify/K,sweep/W}
-                     with stall/starve seconds and channel depth)
+                     stage/<tag>/{produce,analyze} with stall/starve
+                     seconds and channel depth)
   --trace-json FILE  export per-CPU timelines (mode, OS-operation and
                      lock tracks, bus-occupancy counters) as Chrome
                      trace-event JSON; open in Perfetto or
@@ -329,9 +318,6 @@ struct Args {
     warmup: u64,
     machine: MachineFlags,
     jobs: usize,
-    /// Raw `--pipeline` value; resolved against `jobs` and the host
-    /// core count by [`resolve_pipeline`] after parsing completes.
-    pipeline: Option<String>,
     epoch_cycles: u64,
     checkpoint_dir: Option<PathBuf>,
     csv_dir: Option<PathBuf>,
@@ -350,7 +336,6 @@ fn parse_args(argv: &[String]) -> Args {
     let mut positional = Vec::new();
     let mut machine = MachineFlags::default();
     let mut jobs = 1usize;
-    let mut pipeline = None;
     let mut epoch_cycles = 0u64;
     let mut checkpoint_dir = None;
     let mut csv_dir = None;
@@ -367,7 +352,6 @@ fn parse_args(argv: &[String]) -> Args {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--jobs" | "-j" => jobs = parse_jobs(&mut it),
-            "--pipeline" => pipeline = Some(flag_value(&mut it, "--pipeline")),
             "--epoch-cycles" => {
                 epoch_cycles = flag_value(&mut it, "--epoch-cycles")
                     .parse()
@@ -416,7 +400,6 @@ fn parse_args(argv: &[String]) -> Args {
         warmup,
         machine,
         jobs,
-        pipeline,
         epoch_cycles,
         checkpoint_dir,
         csv_dir,
@@ -429,21 +412,6 @@ fn parse_args(argv: &[String]) -> Args {
         hotlines_out,
         hotlines_top,
         causal_out,
-    }
-}
-
-/// Resolves `--pipeline` to a shard width: `off`/`0`/`1` keep the
-/// serial analyzer, `auto` sizes from the host core count and `--jobs`,
-/// a number is taken as-is.
-fn resolve_pipeline(args: &Args) -> usize {
-    match args.pipeline.as_deref() {
-        None | Some("off") => 0,
-        Some("auto") => oscar_core::driver::auto_pipeline(args.jobs),
-        Some(v) => v
-            .parse()
-            .ok()
-            .filter(|&n| n <= 64)
-            .unwrap_or_else(|| fail("--pipeline needs auto, off or a worker count (<= 64)")),
     }
 }
 
@@ -566,10 +534,6 @@ fn report_main(argv: &[String]) {
         emit_from_trace(path, &args);
         return;
     }
-    let pipeline = resolve_pipeline(&args);
-    if pipeline > 1 {
-        eprintln!("pipeline: {pipeline} analyzer shard workers per run");
-    }
 
     let reqs: Vec<ReportRequest> = args
         .kinds
@@ -590,7 +554,6 @@ fn report_main(argv: &[String]) {
             // epochs re-execute on --jobs threads too.
             epoch_jobs: args.jobs,
             checkpoint_dir: args.checkpoint_dir.clone(),
-            pipeline,
             // Per-stage occupancy rows ride with the perf summary only
             // (wall-clock data; never in the deterministic exports).
             stage_stats: args.perf_out.is_some(),
@@ -670,12 +633,6 @@ fn query_main(argv: &[String]) {
             }
             "--out" => out_path = Some(PathBuf::from(flag_value(&mut it, "--out"))),
             "--jobs" | "-j" => jobs = parse_jobs(&mut it),
-            // Queries need the inline row stream, which forces a
-            // serial analyzer; accept the flag so scripts can toggle
-            // it globally, but it changes nothing here.
-            "--pipeline" => {
-                flag_value(&mut it, "--pipeline");
-            }
             "--help" | "-h" => {
                 println!("{HELP}");
                 std::process::exit(0);

@@ -103,7 +103,6 @@ fn exports_are_byte_identical_across_jobs() {
             epoch_cycles: 0,
             epoch_jobs: 1,
             checkpoint_dir: None,
-            pipeline: 0,
             stage_stats: false,
         })
         .collect();

@@ -1,16 +1,12 @@
-//! Byte-identity tests for the multi-core single-run pipeline: the
-//! sharded analyzer (classification shards + sweep workers overlapped
-//! with the simulation producer) must leave every export bit-exact at
-//! any shard count, any chunk size, and composed with the time-parallel
-//! epoch engine. The SIMD columnar row filter is pinned against the
-//! scalar predicate the same way.
+//! Byte-identity tests for the single-run pipeline (the simulation
+//! producer overlapped with the analyzer over a bounded channel): every
+//! export must stay bit-exact at any chunk size and composed with the
+//! time-parallel epoch engine. The SIMD columnar row filter is pinned
+//! against the scalar predicate the same way.
 
 use oscar_core::driver::{run_reports, ReportRequest};
 use oscar_core::pipeline::{run_streaming, run_streaming_rows, StreamOptions};
-use oscar_core::{
-    analyze, merge_metrics_json, merge_provenance_json, merge_trace_json, render_all, run,
-    ExperimentConfig,
-};
+use oscar_core::{analyze, merge_metrics_json, render_all, run, ExperimentConfig};
 use oscar_machine::monitor::RecordFilter;
 use oscar_machine::BusKind;
 use oscar_workloads::WorkloadKind;
@@ -21,41 +17,12 @@ fn small(kind: WorkloadKind) -> ExperimentConfig {
         .measure(2_500_000)
 }
 
-fn req(kind: WorkloadKind, pipeline: usize) -> ReportRequest {
+fn req(kind: WorkloadKind) -> ReportRequest {
     ReportRequest {
         config: small(kind),
         want_csv: true,
         want_obs: true,
-        pipeline,
         ..ReportRequest::new(kind, 0, 0)
-    }
-}
-
-/// The tentpole claim end to end: report, CSV, `--metrics-out` and
-/// `--trace-json` bytes are identical to the serial analyzer at shard
-/// widths 1, 2 and 4.
-#[test]
-fn exports_are_identical_at_any_pipeline_width() {
-    let kind = WorkloadKind::Pmake;
-    let base = run_reports(vec![req(kind, 0)], 1);
-    let base_metrics = merge_metrics_json(&base);
-    let base_trace_json = merge_trace_json(&base);
-
-    for width in [1, 2, 4] {
-        let out = run_reports(vec![req(kind, width)], 1);
-        assert_eq!(out[0].report, base[0].report, "width {width}: report");
-        assert_eq!(out[0].csv, base[0].csv, "width {width}: csv");
-        assert_eq!(out[0].trace_records, base[0].trace_records);
-        assert_eq!(
-            merge_metrics_json(&out),
-            base_metrics,
-            "width {width}: metrics export"
-        );
-        assert_eq!(
-            merge_trace_json(&out),
-            base_trace_json,
-            "width {width}: trace-json export"
-        );
     }
 }
 
@@ -68,39 +35,37 @@ fn pipelined_streaming_is_identical_at_ragged_chunk_sizes() {
     let an = analyze(&art);
     let batch = render_all(&art, &an);
 
-    for (shards, chunk) in [(2, 333), (4, 777), (4, 4096), (2, 63)] {
+    for chunk in [333, 777, 4096, 63] {
         let (sart, san) = run_streaming(
             &config,
             &StreamOptions {
                 keep_trace: true,
-                shards,
-                sweep_workers: shards,
                 chunk_records: chunk,
                 ..StreamOptions::default()
             },
         );
-        assert_eq!(sart.trace, art.trace, "shards {shards} chunk {chunk}");
+        assert_eq!(sart.trace, art.trace, "chunk {chunk}");
         assert_eq!(
             render_all(&sart, &san),
             batch,
-            "shards {shards} chunk {chunk}: report differs"
+            "chunk {chunk}: report differs"
         );
     }
 }
 
-/// `--pipeline` composes with `--epoch-cycles`: the time-parallel
-/// producer feeding the sharded analyzer still yields the serial bytes,
-/// and stage stats ride along without perturbing anything.
+/// The pipeline composes with `--epoch-cycles`: the time-parallel
+/// producer feeding the analyzer still yields the serial bytes, and
+/// stage stats ride along without perturbing anything.
 #[test]
 fn pipeline_composes_with_epoch_cycles() {
     let kind = WorkloadKind::Pmake;
-    let base = run_reports(vec![req(kind, 0)], 1);
+    let base = run_reports(vec![req(kind)], 1);
 
     let composed = ReportRequest {
         epoch_cycles: 600_000,
         epoch_jobs: 2,
         stage_stats: true,
-        ..req(kind, 3)
+        ..req(kind)
     };
     let out = run_reports(vec![composed], 1);
     assert_eq!(out[0].report, base[0].report, "epoch+pipeline: report");
@@ -118,33 +83,7 @@ fn pipeline_composes_with_epoch_cycles() {
         .filter(|p| p.id.starts_with("stage/"))
         .map(|p| p.id.as_str())
         .collect();
-    assert!(
-        stage_ids.contains(&"stage/pmake/produce")
-            && stage_ids.contains(&"stage/pmake/analyze")
-            && stage_ids.contains(&"stage/pmake/classify/2")
-            && stage_ids.contains(&"stage/pmake/sweep/2"),
-        "missing stage rows: {stage_ids:?}"
-    );
-}
-
-/// Provenance forces inline classification; requesting a pipeline width
-/// anyway must change nothing about the export.
-#[test]
-fn provenance_export_unchanged_by_pipeline_request() {
-    let kind = WorkloadKind::Pmake;
-    let mk = |pipeline| {
-        run_reports(
-            vec![ReportRequest {
-                want_provenance: true,
-                ..req(kind, pipeline)
-            }],
-            1,
-        )
-    };
-    let base = mk(0);
-    let piped = mk(4);
-    assert_eq!(base[0].report, piped[0].report);
-    assert_eq!(merge_provenance_json(&base), merge_provenance_json(&piped));
+    assert_eq!(stage_ids, ["stage/pmake/produce", "stage/pmake/analyze"]);
 }
 
 /// The columnar row filter (SIMD pass bitmap) must admit exactly the

@@ -94,7 +94,6 @@ fn exports_match_across_jobs_on_the_block_path() {
             epoch_cycles: 0,
             epoch_jobs: 1,
             checkpoint_dir: None,
-            pipeline: 0,
             stage_stats: false,
         })
         .collect();

@@ -26,7 +26,6 @@ fn streamed_pipeline_matches_batch_for_each_workload() {
             &config,
             &StreamOptions {
                 keep_trace: true,
-                shards: 2,
                 chunk_records: 777, // force ragged chunk boundaries
                 ..StreamOptions::default()
             },
@@ -76,7 +75,6 @@ fn report_driver_output_is_independent_of_jobs() {
         epoch_cycles: 0,
         epoch_jobs: 1,
         checkpoint_dir: None,
-        pipeline: 0,
         stage_stats: false,
     })
     .collect();
