@@ -99,14 +99,16 @@ impl PerfSummary {
 
     /// Phases that uniquely own their records/cycles. `epoch/*`,
     /// `pass1/*`, `pool/worker/*` and `stage/*` rows re-account work
-    /// the `simulate+analyze/*` rows already carry, so summing them
-    /// would double-count (and inflate the human throughput line).
+    /// the `simulate+analyze/*` rows already carry, and a `load/*` row
+    /// the records its `analyze/*` row analyzes, so summing them would
+    /// double-count (and inflate the human throughput line).
     fn owning_phases(&self) -> impl Iterator<Item = &PhaseStats> {
         self.phases.iter().filter(|p| {
             !(p.id.starts_with("epoch/")
                 || p.id.starts_with("pass1/")
                 || p.id.starts_with("pool/")
-                || p.id.starts_with("stage/"))
+                || p.id.starts_with("stage/")
+                || p.id.starts_with("load/"))
         })
     }
 
@@ -305,6 +307,25 @@ mod tests {
         assert!(j.contains("\"chan_depth_max\": 7"));
         assert!(j.contains("\"chan_depth_mean\": 2.5"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
+    }
+
+    #[test]
+    fn offline_load_rows_do_not_double_count_records() {
+        let mut s = PerfSummary::new("unit", 1);
+        for (id, cycles, records) in [
+            ("load/multpgm", 0, 900),
+            ("analyze/multpgm", 5_000, 900),
+            ("render/multpgm", 0, 0),
+        ] {
+            s.phases.push(PhaseStats {
+                id: id.into(),
+                cycles,
+                records,
+                ..PhaseStats::default()
+            });
+        }
+        assert_eq!(s.total_records(), 900);
+        assert_eq!(s.total_cycles(), 5_000);
     }
 
     #[test]

@@ -48,6 +48,42 @@ fn kind_from(code: u8) -> io::Result<BusKind> {
     })
 }
 
+/// Encoded size of one record: time (`u64`), CPU, kind code, physical
+/// address (`u64`), sub-block offset — little-endian, no padding.
+const RECORD_BYTES: usize = 19;
+
+/// Records [`load`] reads per `read_exact` (about 76 KiB a chunk).
+const CHUNK_RECORDS: usize = 4096;
+
+fn encode_record(rec: &BusRecord) -> [u8; RECORD_BYTES] {
+    let mut b = [0u8; RECORD_BYTES];
+    b[0..8].copy_from_slice(&rec.time.to_le_bytes());
+    b[8] = rec.cpu.0;
+    b[9] = kind_code(rec.kind);
+    b[10..18].copy_from_slice(&rec.paddr.raw().to_le_bytes());
+    b[18] = rec.sub;
+    b
+}
+
+/// Decodes one record, rejecting a CPU the machine lacks and an
+/// unknown kind code.
+fn decode_record(b: &[u8; RECORD_BYTES], num_cpus: u8) -> io::Result<BusRecord> {
+    let le_u64 = |at: usize| u64::from_le_bytes(b[at..at + 8].try_into().expect("8 bytes"));
+    if b[8] >= num_cpus {
+        return Err(invalid(format!(
+            "record from cpu {} on a {num_cpus}-CPU machine",
+            b[8]
+        )));
+    }
+    Ok(BusRecord {
+        time: le_u64(0),
+        cpu: CpuId(b[8]),
+        kind: kind_from(b[9])?,
+        paddr: PAddr::new(le_u64(10)),
+        sub: b[18],
+    })
+}
+
 fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
@@ -117,10 +153,7 @@ pub fn save(art: &RunArtifacts, w: &mut impl Write) -> io::Result<()> {
     }
     write_u64(w, art.trace.len() as u64)?;
     for rec in &art.trace {
-        write_u64(w, rec.time)?;
-        w.write_all(&[rec.cpu.0, kind_code(rec.kind)])?;
-        write_u64(w, rec.paddr.raw())?;
-        w.write_all(&[rec.sub])?;
+        w.write_all(&encode_record(rec))?;
     }
     Ok(())
 }
@@ -134,9 +167,13 @@ pub fn save(art: &RunArtifacts, w: &mut impl Write) -> io::Result<()> {
 /// # Errors
 ///
 /// Returns `InvalidData` for malformed files — including a header that
-/// describes an invalid machine, a window that ends before it starts,
-/// or a record from a CPU the machine does not have — and propagates
-/// reader errors.
+/// describes an invalid machine, a kernel layout that does not fit its
+/// memory, a window that ends before it starts, or a record from a CPU
+/// the machine does not have — and propagates reader errors
+/// (`UnexpectedEof` for a truncated file).
+///
+/// Reads exactly the trace's bytes, in chunks of records, so `r` needs
+/// no buffering of its own and is left just past the trace.
 pub fn load(r: &mut impl Read) -> io::Result<RunArtifacts> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
@@ -171,44 +208,38 @@ pub fn load(r: &mut impl Read) -> io::Result<RunArtifacts> {
             "layout order length mismatch (incompatible kernel version)",
         ));
     }
+    let mut order_bytes = vec![0u8; 2 * order_len];
+    r.read_exact(&mut order_bytes)?;
     let mut order = Vec::with_capacity(order_len);
     let mut seen = vec![false; order_len];
-    for _ in 0..order_len {
-        let mut b = [0u8; 2];
-        r.read_exact(&mut b)?;
-        let idx = u16::from_le_bytes(b) as usize;
+    for b in order_bytes.chunks_exact(2) {
+        let idx = u16::from_le_bytes([b[0], b[1]]) as usize;
         if seen.get(idx).copied() != Some(false) {
             return Err(invalid(format!("bad or repeated routine index {idx}")));
         }
         seen[idx] = true;
         order.push(Rid::ALL[idx]);
     }
+    let layout = Layout::try_with_order_and_replicas(memory_bytes, order, replicas.max(1))
+        .map_err(|e| invalid(format!("bad layout: {e}")))?;
+
+    // The record section, a chunk per `read_exact`: never a read past
+    // the last record, so the reader is left just after the trace.
     let n = read_u64(r)? as usize;
     let mut trace = Vec::with_capacity(n.min(1 << 24));
-    for _ in 0..n {
-        let time = read_u64(r)?;
-        let mut b = [0u8; 2];
-        r.read_exact(&mut b)?;
-        if b[0] >= num_cpus {
-            return Err(invalid(format!(
-                "record from cpu {} on a {num_cpus}-CPU machine",
-                b[0]
-            )));
+    let mut chunk = vec![0u8; n.min(CHUNK_RECORDS) * RECORD_BYTES];
+    let mut left = n;
+    while left > 0 {
+        let take = left.min(CHUNK_RECORDS);
+        let bytes = &mut chunk[..take * RECORD_BYTES];
+        r.read_exact(bytes)?;
+        for rec in bytes.chunks_exact(RECORD_BYTES) {
+            let rec = rec.try_into().expect("chunks_exact yields whole records");
+            trace.push(decode_record(rec, num_cpus)?);
         }
-        let kind = kind_from(b[1])?;
-        let paddr = PAddr::new(read_u64(r)?);
-        let mut s = [0u8; 1];
-        r.read_exact(&mut s)?;
-        trace.push(BusRecord {
-            time,
-            cpu: CpuId(b[0]),
-            paddr,
-            kind,
-            sub: s[0],
-        });
+        left -= take;
     }
 
-    let layout = Layout::with_order_and_replicas(memory_bytes, order, replicas.max(1));
     Ok(RunArtifacts {
         trace_records: trace.len() as u64,
         trace,
@@ -311,7 +342,156 @@ mod tests {
             .measure(1_000_000));
         let mut buf = Vec::new();
         save(&art, &mut buf).expect("save");
-        // 19 bytes per record plus a small header.
-        assert!(buf.len() < art.trace.len() * 19 + 1024);
+        // The header, then RECORD_BYTES per record and nothing else.
+        assert_eq!(buf.len(), records_at() + art.trace.len() * RECORD_BYTES);
+    }
+
+    /// Byte offset of the first record: nine header fields, the routine
+    /// order, then the record count.
+    fn records_at() -> usize {
+        field(9) + 2 * Rid::ALL.len() + 8
+    }
+
+    /// A short real run whose trace is replaced by `n` synthetic records
+    /// that cycle through every CPU, kind code and sub-block offset.
+    fn with_records(n: usize) -> RunArtifacts {
+        let mut art = run(&ExperimentConfig::new(WorkloadKind::Pmake)
+            .warmup(100_000)
+            .measure(100_000));
+        let kinds = [
+            BusKind::Read,
+            BusKind::ReadEx,
+            BusKind::Upgrade,
+            BusKind::WriteBack,
+            BusKind::UncachedRead,
+        ];
+        let cpus = art.machine_config.num_cpus as usize;
+        art.trace = (0..n)
+            .map(|i| BusRecord {
+                time: art.measure_start + 3 * i as u64,
+                cpu: CpuId((i % cpus) as u8),
+                paddr: PAddr::new(0x40_0000 + 0x9e37 * i as u64),
+                kind: kinds[i % kinds.len()],
+                sub: (i % 251) as u8,
+            })
+            .collect();
+        art.trace_records = n as u64;
+        art
+    }
+
+    fn saved(art: &RunArtifacts) -> Vec<u8> {
+        let mut buf = Vec::new();
+        save(art, &mut buf).expect("save");
+        buf
+    }
+
+    /// Everything `load` restores from a file.
+    fn assert_same(a: &RunArtifacts, b: &RunArtifacts) {
+        assert_eq!(a.trace, b.trace);
+        assert_eq!(a.trace_records, b.trace_records);
+        assert_eq!(a.machine_config, b.machine_config);
+        assert_eq!(a.layout.order(), b.layout.order());
+        assert_eq!(a.layout.replicas(), b.layout.replicas());
+        assert_eq!(a.layout.memory_bytes(), b.layout.memory_bytes());
+        assert_eq!(
+            (a.measure_start, a.measure_end, a.workload),
+            (b.measure_start, b.measure_end, b.workload)
+        );
+    }
+
+    #[test]
+    fn roundtrips_at_chunk_boundaries() {
+        for n in [0, 1, CHUNK_RECORDS - 1, CHUNK_RECORDS, CHUNK_RECORDS + 1] {
+            let art = with_records(n);
+            let buf = saved(&art);
+            assert_eq!(buf.len(), records_at() + n * RECORD_BYTES, "{n} records");
+            let loaded = load(&mut buf.as_slice()).expect("load");
+            assert_same(&art, &loaded);
+        }
+    }
+
+    /// A reader that hands out at most 7 bytes per `read`.
+    struct Trickle<'a>(&'a [u8]);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(7).min(self.0.len());
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn short_reads_and_trailing_bytes_do_not_change_what_loads() {
+        let buf = saved(&with_records(CHUNK_RECORDS + 5));
+        let from_slice = load(&mut buf.as_slice()).expect("slice");
+        let from_trickle = load(&mut Trickle(&buf)).expect("trickle");
+        assert_same(&from_slice, &from_trickle);
+        // `load` stops at the trace's last byte.
+        let mut tailed = buf.clone();
+        tailed.extend_from_slice(b"tail");
+        let mut rest = tailed.as_slice();
+        assert_same(&from_slice, &load(&mut rest).expect("tailed"));
+        assert_eq!(rest, b"tail");
+    }
+
+    #[test]
+    fn truncated_record_section_is_unexpected_eof() {
+        let buf = saved(&with_records(CHUNK_RECORDS + 1));
+        let first = records_at();
+        for cut in [
+            first + 1,
+            first + RECORD_BYTES * CHUNK_RECORDS - 1,
+            first + RECORD_BYTES * CHUNK_RECORDS + 3,
+            buf.len() - 1,
+        ] {
+            let err = load(&mut &buf[..cut]).expect_err("truncated");
+            assert_eq!(
+                err.kind(),
+                io::ErrorKind::UnexpectedEof,
+                "cut at {cut}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn record_count_beyond_the_records_present_fails() {
+        let n = CHUNK_RECORDS + 2;
+        let buf = saved(&with_records(n));
+        let count_at = records_at() - 8;
+        for count in [n as u64 + 1, 2 * n as u64, u64::MAX] {
+            let mut bad = buf.clone();
+            bad[count_at..records_at()].copy_from_slice(&count.to_le_bytes());
+            assert!(load(&mut bad.as_slice()).is_err(), "count {count}");
+        }
+    }
+
+    #[test]
+    fn bad_cpu_or_kind_past_the_first_chunk_is_invalid_data() {
+        let art = with_records(CHUNK_RECORDS + 3);
+        let buf = saved(&art);
+        let rec = records_at() + (CHUNK_RECORDS + 1) * RECORD_BYTES;
+        let patches = [
+            ("cpu", rec + 8, art.machine_config.num_cpus),
+            ("kind", rec + 9, 5),
+        ];
+        for (what, at, byte) in patches {
+            let mut bad = buf.clone();
+            bad[at] = byte;
+            let err = load(&mut bad.as_slice()).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        }
+    }
+
+    /// A header whose memory cannot hold the kernel layout used to
+    /// abort the process inside `Layout`.
+    #[test]
+    fn memory_too_small_for_the_kernel_is_invalid_data() {
+        let mut buf = saved(&with_records(3));
+        buf[field(3)..field(4)].copy_from_slice(&(1u64 << 20).to_le_bytes());
+        let err = load(&mut buf.as_slice()).expect_err("1 MiB of memory");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("does not fit"), "{err}");
     }
 }

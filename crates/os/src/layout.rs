@@ -398,12 +398,43 @@ impl Layout {
     /// Panics if `order` is not a permutation of [`Rid::ALL`], or if the
     /// layout does not fit in `memory_bytes`.
     pub fn with_order_and_replicas(memory_bytes: u64, order: Vec<Rid>, replicas: u8) -> Self {
-        assert_eq!(order.len(), Rid::ALL.len(), "order must cover all routines");
+        Self::try_with_order_and_replicas(memory_bytes, order, replicas)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The fallible form of [`Layout::with_order_and_replicas`], for
+    /// untrusted inputs such as a saved trace's header.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message if `order` is not a permutation of
+    /// [`Rid::ALL`], or if the layout does not fit in `memory_bytes`.
+    pub fn try_with_order_and_replicas(
+        memory_bytes: u64,
+        order: Vec<Rid>,
+        replicas: u8,
+    ) -> Result<Self, String> {
+        if order.len() != Rid::ALL.len() {
+            return Err(format!(
+                "order must cover all {} routines (got {})",
+                Rid::ALL.len(),
+                order.len()
+            ));
+        }
         {
             let mut seen = order.clone();
             seen.sort();
             seen.dedup();
-            assert_eq!(seen.len(), Rid::ALL.len(), "order must be a permutation");
+            if seen.len() != Rid::ALL.len() {
+                return Err("order must be a permutation of the kernel routines".into());
+            }
+        }
+        let npages = memory_bytes / PAGE_SIZE;
+        // Page numbers are `u32`; a larger memory cannot be mapped.
+        if npages > u64::from(u32::MAX) {
+            return Err(format!(
+                "{memory_bytes} bytes of memory exceed the page-number range"
+            ));
         }
         let text_base = PAGE_SIZE; // leave page 0 unused
         let mut routine_base = vec![0u64; Rid::ALL.len()];
@@ -423,7 +454,6 @@ impl Layout {
             base
         };
         let proc_table = take(sizes::NPROC * sizes::PROC_ENTRY);
-        let npages = memory_bytes / PAGE_SIZE;
         let pfdat = take(npages * sizes::PFDAT_ENTRY);
         let pfdat_end = pfdat + npages * sizes::PFDAT_ENTRY;
         let buf_hdrs = take(sizes::NBUF * sizes::BUF_HDR);
@@ -446,11 +476,12 @@ impl Layout {
         };
         let frame_pool_first = Ppn((at / PAGE_SIZE) as u32);
         let frame_pool_end = Ppn(npages as u32);
-        assert!(
-            frame_pool_first.0 < frame_pool_end.0,
-            "kernel layout does not fit in {memory_bytes} bytes"
-        );
-        Layout {
+        if frame_pool_first.0 >= frame_pool_end.0 {
+            return Err(format!(
+                "kernel layout does not fit in {memory_bytes} bytes"
+            ));
+        }
+        Ok(Layout {
             order,
             routine_base,
             text_base,
@@ -474,7 +505,7 @@ impl Layout {
             frame_pool_first,
             frame_pool_end,
             memory_bytes,
-        }
+        })
     }
 
     /// Number of kernel-text copies (1 = unreplicated).
@@ -997,6 +1028,29 @@ mod tests {
         let mut order = Rid::ALL.to_vec();
         order[1] = order[0];
         let _ = Layout::with_order(32 * 1024 * 1024, order);
+    }
+
+    #[test]
+    fn fallible_constructor_reports_what_the_panicking_one_asserts() {
+        let mut dup = Rid::ALL.to_vec();
+        dup[1] = dup[0];
+        let cases = [
+            (32 * 1024 * 1024, Rid::ALL[1..].to_vec(), "cover all"),
+            (32 * 1024 * 1024, dup, "permutation"),
+            (
+                1024 * 1024,
+                Rid::ALL.to_vec(),
+                "does not fit in 1048576 bytes",
+            ),
+            (PAGE_SIZE << 33, Rid::ALL.to_vec(), "page-number range"),
+        ];
+        for (memory, order, needle) in cases {
+            let err = Layout::try_with_order_and_replicas(memory, order, 1).unwrap_err();
+            assert!(err.contains(needle), "{err}");
+        }
+        let ok = Layout::try_with_order_and_replicas(32 * 1024 * 1024, Rid::ALL.to_vec(), 1)
+            .expect("the stock machine fits");
+        assert_eq!(ok.frame_pool_end().0, 8192);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use oscar_core::driver::{run_reports_pooled, ReportRequest};
 use oscar_core::observe::merge_hotlines_json;
-use oscar_core::perf::PerfSummary;
+use oscar_core::perf::{PerfSummary, PhaseStats, PhaseTimer};
 use oscar_core::query::{compile, run_compiled};
 use oscar_core::{
     analyze_with, csv, merge_metrics_json, merge_provenance_json, merge_trace_json,
@@ -416,8 +416,12 @@ fn parse_args(argv: &[String]) -> Args {
 }
 
 /// The `--from-trace` path: batch-analyze a saved trace (no simulation,
-/// nothing to parallelize).
-fn emit_from_trace(path: &PathBuf, args: &Args) {
+/// nothing to parallelize). The perf summary has one row per step:
+/// `load/<tag>`, `analyze/<tag>` and `render/<tag>` (the report, CSVs
+/// and exports).
+fn emit_from_trace(path: &PathBuf, args: &Args, started: Instant) {
+    let mut perf = PerfSummary::new("reports", 1);
+    let load_started = Instant::now();
     let mut f = fs::File::open(path).unwrap_or_else(|e| {
         eprintln!("error: cannot open {}: {e}", path.display());
         std::process::exit(1);
@@ -429,15 +433,23 @@ fn emit_from_trace(path: &PathBuf, args: &Args) {
         );
         std::process::exit(1);
     });
+    let tag = art.tag();
+    let window = art.measure_end - art.measure_start;
+    perf.phases.push(PhaseStats {
+        id: format!("load/{tag}"),
+        wall_s: load_started.elapsed().as_secs_f64(),
+        records: art.trace_records,
+        ..PhaseStats::default()
+    });
     eprintln!(
-        "loaded {} records ({}, window {} cycles)",
+        "loaded {} records ({}, window {window} cycles)",
         art.trace.len(),
         art.workload,
-        art.measure_end - art.measure_start
     );
     // With --provenance-out the sweeps must run inline (the per-CPU
     // bank splits only exist then); the report bytes are identical
     // either way.
+    let t = PhaseTimer::start(format!("analyze/{tag}"));
     let an = analyze_with(
         &art,
         AnalyzeOptions {
@@ -448,6 +460,8 @@ fn emit_from_trace(path: &PathBuf, args: &Args) {
             ..AnalyzeOptions::default()
         },
     );
+    t.stop(&mut perf, window, art.trace_records);
+    let t = PhaseTimer::start(format!("render/{tag}"));
     println!("{}", render_all(&art, &an));
     if let Some(dir) = &args.csv_dir {
         let tag = art.workload.label().to_lowercase();
@@ -496,11 +510,11 @@ fn emit_from_trace(path: &PathBuf, args: &Args) {
         });
         if let Some(h) = &hotlines {
             oscar_core::observe::add_hotline_metrics(&mut obs.metrics, h);
-            oscar_core::observe::add_hotline_tracks(&mut obs.timeline, &art.tag(), h);
+            oscar_core::observe::add_hotline_tracks(&mut obs.timeline, &tag, h);
         }
         let out = oscar_core::ReportOutput {
             kind: art.workload,
-            tag: art.tag(),
+            tag: tag.clone(),
             report: String::new(),
             csv: Vec::new(),
             trace_blob: None,
@@ -525,13 +539,19 @@ fn emit_from_trace(path: &PathBuf, args: &Args) {
             write_file(path, merge_hotlines_json(&outs).as_bytes());
         }
     }
+    t.stop(&mut perf, 0, 0);
+    perf.finish(started);
+    eprintln!("{}", perf.human_line());
+    if let Some(path) = &args.perf_out {
+        write_file(path, perf.to_json().as_bytes());
+    }
 }
 
 fn report_main(argv: &[String]) {
     let args = parse_args(argv);
     let started = Instant::now();
     if let Some(path) = &args.from_trace {
-        emit_from_trace(path, &args);
+        emit_from_trace(path, &args, started);
         return;
     }
 
