@@ -333,6 +333,17 @@ fn run_one(req: &ReportRequest) -> ReportOutput {
         p.id = format!("stage/{tag}/{}", p.id.trim_start_matches("stage/"));
         p
     }));
+    // The engine's step counts ride with the stage rows: deterministic,
+    // but about the simulator, not the simulated machine, so never in
+    // the metrics export.
+    if req.stage_stats {
+        phases.push(PhaseStats {
+            id: format!("sim/{tag}"),
+            cycles: req.config.measure_cycles,
+            sim: Some(art.engine),
+            ..PhaseStats::default()
+        });
+    }
 
     let started = Instant::now();
     let mut report = render_all(&art, &an);

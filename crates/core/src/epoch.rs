@@ -48,7 +48,7 @@ use oscar_obs::{Metrics, Timeline};
 use oscar_os::{KernelObsReport, OsWorld};
 
 use crate::analyze::TraceMeta;
-use crate::experiment::{run_until, ExperimentConfig, PreparedRun, RunArtifacts};
+use crate::experiment::{ExperimentConfig, PreparedRun, RunArtifacts};
 use crate::observe::TimelineBuilder;
 use crate::pad::CachePadded;
 use crate::perf::PhaseStats;
@@ -167,11 +167,34 @@ fn thaw_state(config: &ExperimentConfig, bytes: &[u8]) -> Result<(Machine, OsWor
     Ok((machine, os))
 }
 
-/// Best-effort cache write: an unwritable cache degrades to a miss on
-/// the next run, never to a failure of this one.
-fn store(dir: &Path, path: &Path, bytes: &[u8]) {
+/// Content checksum of a cache file's payload. Every step of the hash
+/// is a bijection of its state for a fixed input word, so a change to
+/// any one word of the payload always changes the sum.
+fn checksum(payload: &[u8]) -> u64 {
+    let mut h = FxHasher::default();
+    h.write(payload);
+    h.write_u64(payload.len() as u64);
+    h.finish()
+}
+
+/// A cache file's payload when its trailing checksum matches; `None`
+/// for a truncated or altered file, which the caller treats as a miss.
+/// Snapshots that still parse after a bit flip would otherwise be
+/// served as hits and silently change the run.
+fn unseal(file: &[u8]) -> Option<&[u8]> {
+    let (payload, sum) = file.split_at_checked(file.len().checked_sub(8)?)?;
+    (checksum(payload) == u64::from_le_bytes(sum.try_into().ok()?)).then_some(payload)
+}
+
+/// Best-effort cache write of `payload` sealed with its checksum: an
+/// unwritable cache degrades to a miss on the next run, never to a
+/// failure of this one.
+fn store(dir: &Path, path: &Path, payload: &[u8]) {
     if fs::create_dir_all(dir).is_ok() {
-        fs::write(path, bytes).ok();
+        let mut file = Vec::with_capacity(payload.len() + 8);
+        file.extend_from_slice(payload);
+        file.extend_from_slice(&checksum(payload).to_le_bytes());
+        fs::write(path, file).ok();
     }
 }
 
@@ -186,14 +209,16 @@ pub(crate) fn warm_prepare(
 ) -> PreparedRun {
     if let Some(dir) = checkpoint_dir {
         let path = warmup_path(dir, config);
-        if let Ok(bytes) = fs::read(&path) {
+        if let Ok(file) = fs::read(&path) {
             let t = Instant::now();
-            let mut r = SnapReader::new(&bytes);
-            if let Ok(prep) = PreparedRun::restore_snapshot(config, &mut r) {
-                if r.expect_end().is_ok() {
-                    stats.hits += 1;
-                    stats.restore_us += t.elapsed().as_micros() as u64;
-                    return prep;
+            if let Some(bytes) = unseal(&file) {
+                let mut r = SnapReader::new(bytes);
+                if let Ok(prep) = PreparedRun::restore_snapshot(config, &mut r) {
+                    if r.expect_end().is_ok() {
+                        stats.hits += 1;
+                        stats.restore_us += t.elapsed().as_micros() as u64;
+                        return prep;
+                    }
                 }
             }
             // Stale or corrupt entry: fall through and regenerate.
@@ -226,10 +251,11 @@ fn load_bundle(
     n_epochs: usize,
     stats: &mut CheckpointStats,
 ) -> Option<Bundle> {
-    let bytes = fs::read(bundle_path(dir, config, epoch_cycles)).ok()?;
+    let file = fs::read(bundle_path(dir, config, epoch_cycles)).ok()?;
     let t = Instant::now();
+    let bytes = unseal(&file)?;
     let parse = (|| -> Result<Bundle, SnapError> {
-        let mut r = SnapReader::new(&bytes);
+        let mut r = SnapReader::new(bytes);
         let n = r.usize()?;
         if n != n_epochs {
             return Err(SnapError::Corrupt("epoch bundle count"));
@@ -324,6 +350,7 @@ struct EpochOut {
     records: Vec<BusRecord>,
     seen: u64,
     wall_s: f64,
+    engine: oscar_os::EngineStats,
 }
 
 /// Runs the measured window through the two-pass epoch engine, feeding
@@ -401,7 +428,7 @@ pub(crate) fn run_epoch_producer(
 
     let mut kernel_obs = None;
     let mut pass1_row = None;
-    let (total_seen, epoch_rows, built_timeline) = thread::scope(|s| {
+    let (total_seen, engine, epoch_rows, built_timeline) = thread::scope(|s| {
         // Re-execution workers: claim epochs off a shared index, thaw
         // the boundary snapshot, replay the span with the monitor
         // armed. The restored kernel lives and dies on the worker
@@ -447,7 +474,9 @@ pub(crate) fn run_epoch_producer(
                         // epoch's tally).
                         os.emit_trace_start(&mut machine);
                     }
-                    run_until(&mut machine, &mut os, boundary(k + 1));
+                    let engine_before = os.engine_stats();
+                    os.run_until(&mut machine, boundary(k + 1));
+                    let engine = os.engine_stats().since(&engine_before);
                     let seen = machine.monitor().total_seen() - seen_before;
                     let records = machine.monitor_mut().dump();
                     parked = Some((machine, os, k + 1));
@@ -457,6 +486,7 @@ pub(crate) fn run_epoch_producer(
                             records,
                             seen,
                             wall_s: started.elapsed().as_secs_f64(),
+                            engine,
                         },
                     );
                 }
@@ -473,10 +503,12 @@ pub(crate) fn run_epoch_producer(
             s.spawn(move || {
                 let mut stage: Vec<BusRecord> = Vec::with_capacity(SINK_BATCH);
                 let mut total_seen = 0u64;
+                let mut engine = oscar_os::EngineStats::default();
                 let mut rows = Vec::with_capacity(n_epochs);
                 for k in 0..n_epochs {
                     let out = out_slots.take(k);
                     total_seen += out.seen;
+                    engine.add(&out.engine);
                     rows.push((out.seen, out.wall_s));
                     for rec in out.records {
                         stage.push(rec);
@@ -499,7 +531,7 @@ pub(crate) fn run_epoch_producer(
                 // exactly as detaching it from the monitor does
                 // serially, and closes the channel.
                 drop(sink);
-                (total_seen, rows, timeline)
+                (total_seen, engine, rows, timeline)
             })
         };
 
@@ -521,7 +553,7 @@ pub(crate) fn run_epoch_producer(
             // disarmed monitor just sees none of it.
             prep.os.emit_trace_start(&mut prep.machine);
             for k in 0..n_epochs {
-                run_until(&mut prep.machine, &mut prep.os, boundary(k + 1));
+                prep.os.run_until(&mut prep.machine, boundary(k + 1));
                 if k + 1 < n_epochs {
                     let t = Instant::now();
                     let snap = Arc::new(freeze_state(&prep.machine, &prep.os));
@@ -556,6 +588,8 @@ pub(crate) fn run_epoch_producer(
     // The pass-1 monitor was disarmed, so the workers' counts are the
     // run's record count.
     art.trace_records = total_seen;
+    // Likewise the workers' engine counts cover the measured window.
+    art.engine = engine;
     art.epoch_phases = pass1_row.into_iter().collect();
     for (k, (seen, wall_s)) in epoch_rows.iter().enumerate() {
         art.epoch_phases.push(PhaseStats {
@@ -571,4 +605,28 @@ pub(crate) fn run_epoch_producer(
     }
     let built = built_timeline.map(|b| b.finish(art.measure_end));
     (art, kernel_obs, built)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sealed_files_reject_any_flipped_byte_or_truncation() {
+        let dir = std::env::temp_dir().join(format!("oscar_seal_{}", std::process::id()));
+        let path = dir.join("x.snap");
+        let payload: Vec<u8> = (0..77u8).collect();
+        store(&dir, &path, &payload);
+        let file = fs::read(&path).expect("stored");
+        fs::remove_dir_all(&dir).ok();
+        assert_eq!(unseal(&file), Some(&payload[..]));
+        for i in 0..file.len() {
+            let mut bad = file.clone();
+            bad[i] ^= 0x10;
+            assert_eq!(unseal(&bad), None, "flip at byte {i}");
+        }
+        for n in 0..file.len() {
+            assert_eq!(unseal(&file[..n]), None, "truncated to {n} bytes");
+        }
+    }
 }

@@ -48,6 +48,10 @@ pub struct PhaseStats {
     /// Seconds the stage spent blocked receiving from an empty upstream
     /// channel (consumer starve). `None` when not instrumented.
     pub starve_s: Option<f64>,
+    /// How the run engine executed the measured window (`sim/<tag>`
+    /// rows only): deterministic step counts, so a silent fall-back to
+    /// one step at a time shows as zero private steps.
+    pub sim: Option<oscar_os::EngineStats>,
 }
 
 impl PhaseStats {
@@ -108,6 +112,7 @@ impl PerfSummary {
                 || p.id.starts_with("pass1/")
                 || p.id.starts_with("pool/")
                 || p.id.starts_with("stage/")
+                || p.id.starts_with("sim/")
                 || p.id.starts_with("load/"))
         })
     }
@@ -162,6 +167,13 @@ impl PerfSummary {
             }
             if let Some(v) = p.starve_s {
                 let _ = write!(s, ", \"starve_s\": {}", json_f64(v));
+            }
+            if let Some(e) = &p.sim {
+                let _ = write!(
+                    s,
+                    ", \"shared_steps\": {}, \"private_steps\": {}, \"private_batches\": {}, \"catch_ups\": {}",
+                    e.shared_steps, e.private_steps, e.private_batches, e.catch_ups
+                );
             }
             s.push('}');
         }

@@ -256,6 +256,7 @@ pub fn load(r: &mut impl Read) -> io::Result<RunArtifacts> {
         stage_phases: Vec::new(),
         checkpoint: None,
         interconnect: Default::default(),
+        engine: Default::default(),
     })
 }
 

@@ -17,7 +17,7 @@
 /// Version stamp for the snapshot byte format. Bump on any layout
 /// change: stale on-disk checkpoints (see the `--checkpoint-dir` cache)
 /// are keyed by this constant and silently invalidated when it moves.
-pub const SNAP_FORMAT_VERSION: u32 = 3;
+pub const SNAP_FORMAT_VERSION: u32 = 4;
 
 /// Errors raised while decoding a snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -24,6 +24,10 @@ use crate::types::{Mode, Pid, ProcSlot};
 use crate::user::{segs, SysReq, TaskEnv, UOp, UserTask};
 use crate::vm::FrameDb;
 
+/// Cycles of one user `Compute` step: a longer computation runs as
+/// several steps of at most this many cycles.
+pub(crate) const USER_COMPUTE_CHUNK: u64 = 5_000;
+
 /// Tunable kernel parameters. Defaults approximate IRIX 3.2 on the
 /// 33 MHz 4D/340 (one cycle = 30 ns).
 #[derive(Debug, Clone)]
@@ -280,6 +284,7 @@ pub struct OsWorld {
     pub(crate) num_cpus: u8,
     pub(crate) disk_cpu: CpuId,
     pub(crate) probes: Option<Box<KernelProbes>>,
+    pub(crate) engine: crate::engine::Engine,
 }
 
 impl std::fmt::Debug for OsWorld {
@@ -341,6 +346,7 @@ impl OsWorld {
             num_cpus,
             disk_cpu: CpuId(0),
             probes: None,
+            engine: crate::engine::Engine::default(),
             layout,
             tuning,
         }
@@ -1082,7 +1088,8 @@ impl OsWorld {
     /// Posts a TLB-shootdown IPI to every CPU except `from` (the
     /// translations themselves are dropped synchronously; the IPI models
     /// the interrupt cost on the remote CPUs).
-    pub(crate) fn post_tlb_shootdown(&mut self, from: CpuId) {
+    pub(crate) fn post_tlb_shootdown(&mut self, m: &mut Machine, from: CpuId) {
+        self.catch_up_others(m);
         for i in 0..self.cpus.len() {
             if i != from.index() {
                 self.cpus[i].pending_ipi = self.cpus[i].pending_ipi.saturating_add(1);
@@ -1276,7 +1283,7 @@ impl OsWorld {
                 }
             }
             UOp::Compute { cycles } => {
-                let chunk = cycles.min(5_000);
+                let chunk = cycles.min(USER_COMPUTE_CHUNK);
                 m.advance(cpu, chunk);
                 if cycles > chunk {
                     self.put_back_uop(

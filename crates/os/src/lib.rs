@@ -38,6 +38,7 @@
 //! assert!(os.stats().total_cycles().total() > 0);
 //! ```
 
+mod engine;
 pub mod exec;
 pub mod fs;
 pub mod instrument;
@@ -53,6 +54,7 @@ pub mod types;
 pub mod user;
 pub mod vm;
 
+pub use engine::EngineStats;
 pub use exec::NUM_KOP_KINDS;
 pub use instrument::{opcode_label, BlockOpKind, OsEvent, NUM_OPCODES};
 pub use kernel::{KernelObsReport, KernelProbes, OsTuning, OsWorld};

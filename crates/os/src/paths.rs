@@ -913,11 +913,13 @@ impl OsWorld {
                 let now = m.now(cpu);
                 self.bufcache.set_busy(buf);
                 self.bufcache.mark_clean(buf);
+                self.catch_up_cpu(m, self.disk_cpu);
                 self.disk.submit(now, buf, true, true);
                 self.stats.disk_writes += 1;
             }
             KCall::DiskEnqueue { buf, write, seq } => {
                 let now = m.now(cpu);
+                self.catch_up_cpu(m, self.disk_cpu);
                 self.disk.submit(now, buf, write, seq);
                 if write {
                     self.stats.disk_writes += 1;
@@ -1111,6 +1113,7 @@ impl OsWorld {
             m.set_page_home(fa.ppn, self.cluster_of(cpu));
         }
         if fa.needs_icache_flush {
+            self.catch_up_others(m);
             m.flush_icache_page(fa.ppn);
             self.frames.note_icache_flushed(fa.ppn);
             self.stats.icache_flushes += 1;
@@ -1172,7 +1175,7 @@ impl OsWorld {
 
         // Memory pressure: run the page-out scan, then retry.
         if self.frames.free_count() < self.tuning.low_free_frames {
-            let mut ops = self.build_pageout_ops(m);
+            let mut ops = self.build_pageout_ops(m, cpu);
             ops.push(KOp::Call(KCall::AllocPage { vpn: vpn.0, init }));
             self.frame_mut(cpu, loc).push_front_ops(ops);
             return;
@@ -1282,7 +1285,7 @@ impl OsWorld {
 
     /// Page-out scan: sweep the pfdat, steal victims, write dirty pages
     /// out.
-    fn build_pageout_ops(&mut self, m: &mut Machine) -> Vec<KOp> {
+    fn build_pageout_ops(&mut self, m: &mut Machine, cpu: CpuId) -> Vec<KOp> {
         let victims = self.frames.pageout_victims(self.tuning.pageout_batch);
         let mut shootdown_needed = false;
         let mut ops = vec![
@@ -1306,6 +1309,7 @@ impl OsWorld {
                         }
                     }
                 }
+                self.catch_up_others(m);
                 for c in 0..self.num_cpus {
                     m.tlb_mut(CpuId(c)).flush_ppn(ppn);
                 }
@@ -1332,7 +1336,7 @@ impl OsWorld {
         ops.push(self.win(Rid::SwapOut));
         ops.push(KOp::Escape(OsEvent::CtxExit));
         if shootdown_needed {
-            self.post_tlb_shootdown(m.earliest_cpu());
+            self.post_tlb_shootdown(m, cpu);
         }
         ops
     }
@@ -1436,6 +1440,7 @@ impl OsWorld {
             self.frames.release(pte.ppn);
         }
         let asid = self.procs.get(slot).unwrap().pid.0;
+        self.catch_up_others(m);
         for c in 0..self.num_cpus {
             m.tlb_mut(CpuId(c)).flush_asid(asid);
         }
@@ -1538,6 +1543,7 @@ impl OsWorld {
             self.frames.release(pte.ppn);
         }
         let asid = self.procs.get(slot).unwrap().pid.0;
+        self.catch_up_others(m);
         for c in 0..self.num_cpus {
             m.tlb_mut(CpuId(c)).flush_asid(asid);
         }

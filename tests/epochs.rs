@@ -254,6 +254,45 @@ fn warmup_cache_misses_then_hits_and_invalidates() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A cached warm-up snapshot is untrusted input: one flipped byte must
+/// turn the lookup into a miss (never a hit on altered state, never a
+/// crash), and the re-simulated run must print the same report.
+#[test]
+fn corrupted_warmup_snapshot_is_a_miss_with_identical_report() {
+    let dir = scratch_dir("corrupt");
+    let config = cfg();
+    let opts = StreamOptions {
+        checkpoint_dir: Some(dir.clone()),
+        ..StreamOptions::default()
+    };
+    let (cold, cold_an) = run_streaming(&config, &opts);
+    let snaps: Vec<_> = std::fs::read_dir(&dir)
+        .expect("cache dir")
+        .map(|e| e.expect("entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "snap"))
+        .collect();
+    assert_eq!(snaps.len(), 1, "one warm-up snapshot cached");
+    let mut bytes = std::fs::read(&snaps[0]).expect("read snapshot");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(&snaps[0], &bytes).expect("write snapshot");
+
+    let (again, again_an) = run_streaming(&config, &opts);
+    let ckpt = again.checkpoint.expect("checkpoint stats when dir given");
+    assert_eq!(ckpt.hits, 0, "a corrupted snapshot must not be served");
+    assert_eq!(ckpt.misses, 1, "a corrupted snapshot is a cache miss");
+    assert_eq!(
+        render_all(&again, &again_an),
+        render_all(&cold, &cold_an),
+        "the re-simulated run prints the same report"
+    );
+    // The miss re-stored a good snapshot: the next run hits again.
+    let (warm, _) = run_streaming(&config, &opts);
+    assert_eq!(warm.checkpoint.expect("stats").hits, 1);
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn epoch_bundle_cache_skips_both_passes_bit_exactly() {
     let dir = scratch_dir("bundle");
