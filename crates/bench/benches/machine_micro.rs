@@ -182,8 +182,8 @@ fn main() {
         // the other core's copy (the MESI pathology the paper's §5
         // measures for test-and-set locks); padded to private lines
         // via `CachePadded`, the two threads never interfere. The
-        // per-worker tallies of the `--jobs` pool and the epoch claim
-        // cursor use the padded layout. (On a single-core CI host the
+        // per-worker tallies and the claim cursor of the `--jobs` pool
+        // use the padded layout. (On a single-core CI host the
         // pair collapses to scheduler noise; record it anyway.)
         use oscar_core::pad::CachePadded;
         use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

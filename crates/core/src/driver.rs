@@ -193,11 +193,6 @@ pub struct ReportRequest {
     /// arrows). Implies observability; never changes any export
     /// produced without it.
     pub want_causal: bool,
-    /// Epoch length for the time-parallel engine
-    /// ([`StreamOptions::epoch_cycles`]); 0 keeps the serial producer.
-    pub epoch_cycles: u64,
-    /// Epoch re-execution workers ([`StreamOptions::epoch_jobs`]).
-    pub epoch_jobs: usize,
     /// On-disk snapshot cache directory
     /// ([`StreamOptions::checkpoint_dir`]).
     pub checkpoint_dir: Option<std::path::PathBuf>,
@@ -220,8 +215,6 @@ impl ReportRequest {
             want_hotlines: false,
             hotlines_top: 50,
             want_causal: false,
-            epoch_cycles: 0,
-            epoch_jobs: 1,
             checkpoint_dir: None,
             stage_stats: false,
         }
@@ -270,8 +263,6 @@ fn run_one(req: &ReportRequest) -> ReportOutput {
         provenance: req.want_provenance,
         hotlines: req.want_hotlines,
         hotlines_top: req.hotlines_top.max(1),
-        epoch_cycles: req.epoch_cycles,
-        epoch_jobs: req.epoch_jobs,
         checkpoint_dir: req.checkpoint_dir.clone(),
         stage_stats: req.stage_stats,
         ..StreamOptions::default()
@@ -323,9 +314,6 @@ fn run_one(req: &ReportRequest) -> ReportOutput {
         }
     }
     phases.append(&mut scratch.phases);
-    // Epoch mode reports its pass-1 sweep and every epoch re-execution
-    // as extra timed phases (wall-clock only; never in the metrics).
-    phases.extend(art.epoch_phases.iter().cloned());
     // Stage stats report each pipeline stage's occupancy the same way,
     // namespaced under the run's tag.
     phases.extend(art.stage_phases.iter().map(|p| {

@@ -187,12 +187,6 @@ pub struct RunArtifacts {
     /// present when the run streamed with
     /// [`crate::pipeline::StreamOptions::observe`] on.
     pub obs: Option<Box<crate::observe::RunObs>>,
-    /// Per-epoch timing rows (`pass1/<tag>`, `epoch/<tag>/<k>`) when
-    /// the run used the time-parallel epoch engine
-    /// ([`crate::pipeline::StreamOptions::epoch_cycles`]); empty
-    /// otherwise. Wall-clock data, so it feeds the perf summary, never
-    /// the metrics export.
-    pub epoch_phases: Vec<crate::perf::PhaseStats>,
     /// Per-pipeline-stage timing rows (`stage/<name>`) when the run
     /// streamed with [`crate::pipeline::StreamOptions::stage_stats`]
     /// on: the producer and the analyzer, each with stall or starve
@@ -202,7 +196,7 @@ pub struct RunArtifacts {
     pub stage_phases: Vec<crate::perf::PhaseStats>,
     /// Checkpoint-cache accounting, present when the run was given a
     /// [`crate::pipeline::StreamOptions::checkpoint_dir`].
-    pub checkpoint: Option<crate::epoch::CheckpointStats>,
+    pub checkpoint: Option<crate::checkpoint::CheckpointStats>,
     /// Interconnect occupancy summary — bus arbitration or directory
     /// bank traffic, depending on the backend. Default-zero for
     /// artifacts rebuilt from a serialized trace (the trace holds
@@ -444,7 +438,6 @@ impl PreparedRun {
             measure_end: self.measure_start + self.config.measure_cycles,
             workload: self.config.workload,
             obs: None,
-            epoch_phases: Vec::new(),
             stage_phases: Vec::new(),
             checkpoint: None,
             engine: self.engine,

@@ -229,7 +229,7 @@ pub struct HotlineAnalysis {
 /// classified data-miss path (inline classification only, so the class
 /// verdict is available access-by-access); sequential and
 /// deterministic, so hot-line exhibits are byte-identical across
-/// `--jobs` and serial vs. epoch-parallel runs.
+/// `--jobs`.
 #[derive(Debug)]
 pub struct HotlineTracker {
     start: u64,

@@ -7,11 +7,11 @@
 
 pub mod analyze;
 pub mod causal;
+pub mod checkpoint;
 pub mod classify;
 pub mod csv;
 pub mod decode;
 pub mod driver;
-pub mod epoch;
 pub mod experiment;
 pub mod histogram;
 pub mod hotline;
@@ -34,11 +34,11 @@ pub use analyze::{
     TraceAnalysis, TraceMeta,
 };
 pub use causal::{causal_for_run, merge_causal_json, render_causal_section, wait_chains_table};
+pub use checkpoint::CheckpointStats;
 pub use driver::{
     parallel_map, parallel_map_tallied, run_reports, run_reports_pooled, ReportOutput,
     ReportRequest, WorkerTally,
 };
-pub use epoch::CheckpointStats;
 pub use experiment::{run, ExperimentConfig, PreparedRun, RunArtifacts};
 pub use hotline::{
     HotAccess, HotlineAnalysis, HotlineRow, HotlineTracker, HOTLINE_BUCKETS, HOTLINE_CLASSES,

@@ -34,9 +34,9 @@ pub struct PhaseStats {
     /// Bus records processed by the phase (0 when not applicable).
     pub records: u64,
     /// Highest streaming-channel depth observed (chunks in flight).
-    /// `None` when the phase had no sampled channel — epoch
-    /// re-executions and renders, or observability off — so the JSON
-    /// omits the fields instead of reporting a misleading 0.
+    /// `None` when the phase had no sampled channel — renders, or
+    /// observability off — so the JSON omits the fields instead of
+    /// reporting a misleading 0.
     /// Wall-clock dependent, hence here and not in the metrics export.
     pub chan_depth_max: Option<u64>,
     /// Mean sampled streaming-channel depth (`None` when not sampled).
@@ -101,16 +101,14 @@ impl PerfSummary {
         }
     }
 
-    /// Phases that uniquely own their records/cycles. `epoch/*`,
-    /// `pass1/*`, `pool/worker/*` and `stage/*` rows re-account work
-    /// the `simulate+analyze/*` rows already carry, and a `load/*` row
+    /// Phases that uniquely own their records/cycles. `pool/worker/*`,
+    /// `stage/*` and `sim/*` rows re-account work the
+    /// `simulate+analyze/*` rows already carry, and a `load/*` row
     /// the records its `analyze/*` row analyzes, so summing them would
     /// double-count (and inflate the human throughput line).
     fn owning_phases(&self) -> impl Iterator<Item = &PhaseStats> {
         self.phases.iter().filter(|p| {
-            !(p.id.starts_with("epoch/")
-                || p.id.starts_with("pass1/")
-                || p.id.starts_with("pool/")
+            !(p.id.starts_with("pool/")
                 || p.id.starts_with("stage/")
                 || p.id.starts_with("sim/")
                 || p.id.starts_with("load/"))
@@ -301,7 +299,7 @@ mod tests {
     fn chan_depth_fields_appear_only_when_sampled() {
         let mut s = PerfSummary::new("unit", 1);
         s.phases.push(PhaseStats {
-            id: "epoch/3".into(),
+            id: "render/pmake".into(),
             wall_s: 0.1,
             ..PhaseStats::default()
         });

@@ -31,6 +31,7 @@ use std::time::{Duration, Instant};
 use oscar_machine::monitor::{BusRecord, RecordBlock, RecordFilter, TraceSink};
 
 use crate::analyze::{AnalyzeOptions, RowSink, StreamAnalyzer, TraceAnalysis, TraceMeta};
+use crate::checkpoint::{warm_prepare, CheckpointStats};
 use crate::experiment::{ExperimentConfig, RunArtifacts};
 use crate::observe::{assemble_run_obs, PipelineObs, TimelineBuilder};
 use crate::perf::PhaseStats;
@@ -70,21 +71,9 @@ pub struct StreamOptions {
     pub hotlines: bool,
     /// Top contended lines kept by the hot-line exhibit.
     pub hotlines_top: usize,
-    /// Epoch length in simulated cycles for the time-parallel engine
-    /// ([`crate::epoch`]): with a non-zero value the measured window is
-    /// swept once monitor-off to checkpoint epoch boundaries, then the
-    /// epochs re-execute concurrently on
-    /// [`StreamOptions::epoch_jobs`] workers. 0 (the default) runs the
-    /// classic serial producer. Either way the produced bytes are
-    /// identical.
-    pub epoch_cycles: u64,
-    /// Worker threads re-executing epochs (only meaningful with
-    /// [`StreamOptions::epoch_cycles`] > 0). Purely a wall-clock knob.
-    pub epoch_jobs: usize,
-    /// Directory for the on-disk snapshot cache: warm-up checkpoints
-    /// (always) and epoch-boundary bundles (epoch mode, observability
-    /// off). `None` disables caching. Cache traffic is reported in
-    /// [`RunArtifacts::checkpoint`].
+    /// Directory for the on-disk warm-up checkpoint cache
+    /// ([`crate::checkpoint`]). `None` disables caching. Cache traffic
+    /// is reported in [`RunArtifacts::checkpoint`].
     pub checkpoint_dir: Option<std::path::PathBuf>,
     /// Collect per-stage occupancy rows
     /// ([`RunArtifacts::stage_phases`]): wall/stall/starve seconds and
@@ -104,8 +93,6 @@ impl Default for StreamOptions {
             provenance: false,
             hotlines: false,
             hotlines_top: 50,
-            epoch_cycles: 0,
-            epoch_jobs: 1,
             checkpoint_dir: None,
             stage_stats: false,
         }
@@ -117,11 +104,11 @@ impl Default for StreamOptions {
 /// `Arc`-wise between the stage that sends and the coordinator that
 /// reports.
 #[derive(Debug, Default)]
-pub(crate) struct StallCell {
+struct StallCell {
     /// Sends that found the channel full and had to block.
-    pub stalls: AtomicU64,
+    stalls: AtomicU64,
     /// Nanoseconds spent blocked in those sends.
-    pub stall_ns: AtomicU64,
+    stall_ns: AtomicU64,
 }
 
 impl StallCell {
@@ -186,7 +173,7 @@ fn recv_timed<T>(rx: &Receiver<T>, acc: &mut StageAcc) -> Option<T> {
 }
 
 /// What flows from the simulation thread to the analysis thread.
-pub(crate) enum StreamMsg {
+enum StreamMsg {
     /// Trace metadata, sent once after warm-up, before any records.
     /// Boxed: the layout recipe makes it much larger than a chunk.
     Meta(Box<TraceMeta>),
@@ -199,8 +186,8 @@ pub(crate) enum StreamMsg {
 /// A [`TraceSink`] that batches records into chunks on a bounded
 /// channel. Dropping the sink (detaching it from the monitor) flushes
 /// the partial last chunk and, once the last sender is gone, closes the
-/// channel. The epoch feeder ([`crate::epoch`]) drives one directly.
-pub(crate) struct ChunkSink {
+/// channel.
+struct ChunkSink {
     buf: RecordBlock,
     cap: usize,
     tx: SyncSender<StreamMsg>,
@@ -212,7 +199,7 @@ pub(crate) struct ChunkSink {
 }
 
 impl ChunkSink {
-    pub(crate) fn new(
+    fn new(
         tx: SyncSender<StreamMsg>,
         cap: usize,
         depth: Option<Arc<AtomicUsize>>,
@@ -402,37 +389,15 @@ fn run_streaming_inner(
     let producer_depth = chan_depth.clone();
     let stall = stage_stats.then(|| Arc::new(StallCell::default()));
     let producer_stall = stall.clone();
-    let epoch_cycles = opts.epoch_cycles;
-    let epoch_jobs = opts.epoch_jobs.max(1);
     let checkpoint_dir = opts.checkpoint_dir.clone();
 
     thread::scope(|s| {
         // Simulation stage: warm up, publish the trace metadata, divert
-        // the measured window into the channel, collect artifacts. With
-        // epoch mode on, the time-parallel engine replaces this thread's
-        // body wholesale — its byte output is identical.
+        // the measured window into the channel, collect artifacts.
         let producer = s.spawn(move || {
             let prod_t0 = Instant::now();
-            if epoch_cycles > 0 {
-                let (art, kernel_obs, built) = crate::epoch::run_epoch_producer(
-                    config,
-                    build,
-                    crate::epoch::EpochPlan {
-                        epoch_cycles,
-                        jobs: epoch_jobs,
-                        checkpoint_dir: checkpoint_dir.as_deref(),
-                        observe,
-                        chunk_records,
-                        depth: producer_depth,
-                        stall: producer_stall,
-                    },
-                    tx,
-                );
-                return (art, kernel_obs, built, prod_t0.elapsed());
-            }
-            let mut ckpt = crate::epoch::CheckpointStats::default();
-            let mut prep =
-                crate::epoch::warm_prepare(config, build, checkpoint_dir.as_deref(), &mut ckpt);
+            let mut ckpt = CheckpointStats::default();
+            let mut prep = warm_prepare(config, build, checkpoint_dir.as_deref(), &mut ckpt);
             let measure_start = prep.measure_start();
             let meta = TraceMeta {
                 layout: prep.os.layout().clone(),

@@ -252,7 +252,6 @@ pub fn load(r: &mut impl Read) -> io::Result<RunArtifacts> {
         measure_end,
         workload,
         obs: None,
-        epoch_phases: Vec::new(),
         stage_phases: Vec::new(),
         checkpoint: None,
         interconnect: Default::default(),

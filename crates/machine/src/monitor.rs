@@ -418,10 +418,8 @@ impl<S: TraceSink> TraceSink for FilteredSink<S> {
 /// Records staged in the buffer before being handed to an attached sink
 /// in one [`TraceSink::record_batch`] call. Batch boundaries carry no
 /// meaning, so the value only trades per-record virtual-call overhead
-/// against staging memory. Public because the epoch-parallel feeder in
-/// `oscar-core` must replay exactly this staging cadence to reproduce
-/// the serial pipeline's chunk boundaries byte-for-byte.
-pub const SINK_BATCH: usize = 1024;
+/// against staging memory.
+const SINK_BATCH: usize = 1024;
 
 /// The monitor's trace buffer.
 pub struct TraceBuffer {

@@ -11,8 +11,9 @@
 //!
 //! Byte images produced by the same code revision for the same state
 //! are identical, so snapshot bytes double as a state-equality witness:
-//! two worlds are bit-exact iff their snapshots are equal. The
-//! time-parallel epoch engine in `oscar-core` relies on exactly that.
+//! two worlds are bit-exact iff their snapshots are equal. The warm-up
+//! checkpoint cache in `oscar-core` and the run engine's differential
+//! tests rely on exactly that.
 
 /// Version stamp for the snapshot byte format. Bump on any layout
 /// change: stale on-disk checkpoints (see the `--checkpoint-dir` cache)

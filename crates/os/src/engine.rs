@@ -23,7 +23,10 @@
 //! pending IPIs or the disk queue calls [`OsWorld::catch_up_others`] or
 //! [`OsWorld::catch_up_cpu`] first. The catch-up applies exactly the
 //! steps the reference order runs before the current shared step, then
-//! drops the lookahead so it is recomputed from the changed state.
+//! drops the lookahead so it is recomputed from the changed state. In
+//! debug builds each such write site also calls
+//! [`OsWorld::assert_caught_up`], which panics, naming the CPU and the
+//! cycle, when its hook is missing.
 //!
 //! Private steps read only state that changes in shared steps and write
 //! only state no other CPU's step reads, so applying them late changes
@@ -270,6 +273,30 @@ impl OsWorld {
         if self.engine.active {
             self.catch_up(m, cpu.index(), true);
         }
+    }
+
+    /// Hook-rule audit, debug builds only: panics unless `cpu` has no
+    /// private steps pending, so kernel code may now write its TLB,
+    /// I-cache, pending IPIs or disk queue. A pending step, before the
+    /// cut or after it, would run from state that the write changes, so
+    /// the check fires when the write site lacks its catch-up hook. The
+    /// message names the site, the target CPU and the cycle. A no-op
+    /// outside [`OsWorld::run_until`].
+    pub(crate) fn assert_caught_up(&self, m: &Machine, cpu: CpuId, site: &str) {
+        if !cfg!(debug_assertions) || !self.engine.active {
+            return;
+        }
+        let c = cpu.index();
+        let lane = self.engine.lanes[c];
+        let now = m.now(cpu);
+        let (t, d) = self.engine.cut;
+        assert!(
+            !lane.fresh || lane.until <= now,
+            "hook rule: {site} writes CPU {c}'s state at cycle {t} (shared step of CPU {d}), \
+             but CPU {c} has private steps pending from cycle {now} to {}; \
+             call a catch-up hook first",
+            lane.until
+        );
     }
 
     /// Catches CPU `c` up to the cut and marks its lane stale. The

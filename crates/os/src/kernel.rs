@@ -1092,6 +1092,7 @@ impl OsWorld {
         self.catch_up_others(m);
         for i in 0..self.cpus.len() {
             if i != from.index() {
+                self.assert_caught_up(m, CpuId(i as u8), "TLB shootdown IPI");
                 self.cpus[i].pending_ipi = self.cpus[i].pending_ipi.saturating_add(1);
             }
         }

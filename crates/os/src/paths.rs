@@ -914,12 +914,14 @@ impl OsWorld {
                 self.bufcache.set_busy(buf);
                 self.bufcache.mark_clean(buf);
                 self.catch_up_cpu(m, self.disk_cpu);
+                self.assert_caught_up(m, self.disk_cpu, "sync-write disk submit");
                 self.disk.submit(now, buf, true, true);
                 self.stats.disk_writes += 1;
             }
             KCall::DiskEnqueue { buf, write, seq } => {
                 let now = m.now(cpu);
                 self.catch_up_cpu(m, self.disk_cpu);
+                self.assert_caught_up(m, self.disk_cpu, "disk enqueue");
                 self.disk.submit(now, buf, write, seq);
                 if write {
                     self.stats.disk_writes += 1;
@@ -1114,6 +1116,9 @@ impl OsWorld {
         }
         if fa.needs_icache_flush {
             self.catch_up_others(m);
+            for c in 0..self.num_cpus {
+                self.assert_caught_up(m, CpuId(c), "I-cache page flush");
+            }
             m.flush_icache_page(fa.ppn);
             self.frames.note_icache_flushed(fa.ppn);
             self.stats.icache_flushes += 1;
@@ -1311,6 +1316,7 @@ impl OsWorld {
                 }
                 self.catch_up_others(m);
                 for c in 0..self.num_cpus {
+                    self.assert_caught_up(m, CpuId(c), "page-out TLB flush");
                     m.tlb_mut(CpuId(c)).flush_ppn(ppn);
                 }
             }
@@ -1442,6 +1448,7 @@ impl OsWorld {
         let asid = self.procs.get(slot).unwrap().pid.0;
         self.catch_up_others(m);
         for c in 0..self.num_cpus {
+            self.assert_caught_up(m, CpuId(c), "exec TLB flush");
             m.tlb_mut(CpuId(c)).flush_asid(asid);
         }
         {
@@ -1545,6 +1552,7 @@ impl OsWorld {
         let asid = self.procs.get(slot).unwrap().pid.0;
         self.catch_up_others(m);
         for c in 0..self.num_cpus {
+            self.assert_caught_up(m, CpuId(c), "exit TLB flush");
             m.tlb_mut(CpuId(c)).flush_asid(asid);
         }
         let parent = self.procs.get(slot).unwrap().parent;

@@ -61,19 +61,16 @@ machine flags (report and query modes; see docs/SCALABILITY.md):
 
 flags:
   --jobs N, -j N     run workloads on N worker threads (default: 1;
-                     all outputs are byte-identical for any N). With
-                     --epoch-cycles the same N also re-executes epochs
-                     in parallel within each run.
-  --epoch-cycles N   time-parallel simulation: sweep the measured
-                     window once monitor-off, checkpoint every N
-                     cycles, then re-execute the epochs concurrently.
-                     All outputs stay byte-identical to the serial
-                     path. 0 disables (default)
+                     all outputs are byte-identical for any N). Each
+                     run simulates on one thread and analyzes on a
+                     second, whatever N is
   --checkpoint-dir DIR
-                     cache warm-up (and epoch-boundary) snapshots in
-                     DIR, keyed by configuration and code revision;
-                     later identical runs skip the warm-up simulation.
-                     Adds checkpoint.* counters to --metrics-out
+                     cache each run's post-warm-up snapshot in DIR,
+                     keyed by configuration and code revision; later
+                     runs of the same configuration (any MEASURE)
+                     restore it instead of simulating the warm-up.
+                     Outputs stay byte-identical. Adds checkpoint.*
+                     counters to --metrics-out
   --csv DIR          also write the figure series as CSV files
   --save-trace DIR   save each run's raw monitor trace (.oscartrace)
   --from-trace FILE  skip simulation; analyze a saved trace instead
@@ -318,7 +315,6 @@ struct Args {
     warmup: u64,
     machine: MachineFlags,
     jobs: usize,
-    epoch_cycles: u64,
     checkpoint_dir: Option<PathBuf>,
     csv_dir: Option<PathBuf>,
     save_trace_dir: Option<PathBuf>,
@@ -336,7 +332,6 @@ fn parse_args(argv: &[String]) -> Args {
     let mut positional = Vec::new();
     let mut machine = MachineFlags::default();
     let mut jobs = 1usize;
-    let mut epoch_cycles = 0u64;
     let mut checkpoint_dir = None;
     let mut csv_dir = None;
     let mut save_trace_dir = None;
@@ -352,11 +347,6 @@ fn parse_args(argv: &[String]) -> Args {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--jobs" | "-j" => jobs = parse_jobs(&mut it),
-            "--epoch-cycles" => {
-                epoch_cycles = flag_value(&mut it, "--epoch-cycles")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--epoch-cycles needs a cycle count"))
-            }
             "--checkpoint-dir" => {
                 checkpoint_dir = Some(PathBuf::from(flag_value(&mut it, "--checkpoint-dir")))
             }
@@ -400,7 +390,6 @@ fn parse_args(argv: &[String]) -> Args {
         warmup,
         machine,
         jobs,
-        epoch_cycles,
         checkpoint_dir,
         csv_dir,
         save_trace_dir,
@@ -568,11 +557,6 @@ fn report_main(argv: &[String]) {
             want_hotlines: args.hotlines_out.is_some(),
             want_causal: args.causal_out.is_some(),
             hotlines_top: args.hotlines_top,
-            epoch_cycles: args.epoch_cycles,
-            // One worker count for both levels of parallelism: whole
-            // workloads fan out across --jobs, and within each run the
-            // epochs re-execute on --jobs threads too.
-            epoch_jobs: args.jobs,
             checkpoint_dir: args.checkpoint_dir.clone(),
             // Per-stage occupancy rows ride with the perf summary only
             // (wall-clock data; never in the deterministic exports).

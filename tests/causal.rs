@@ -3,7 +3,7 @@
 //! exactly, the critical path must respect its bounds (≤ wall cycles,
 //! ≥ the busiest CPU), a 1.0× what-if speedup must predict zero
 //! change, and the `--causal-out` export must be byte-identical
-//! across `--jobs` and serial-vs-epoch execution. Finally, enabling
+//! across `--jobs`. Finally, enabling
 //! the profiler must never change a pre-existing export byte.
 
 use oscar_core::driver::{run_reports, ReportRequest};
@@ -17,14 +17,12 @@ fn small(kind: WorkloadKind) -> ExperimentConfig {
         .measure(3_000_000)
 }
 
-fn causal_req(kind: WorkloadKind, epoch_cycles: u64, epoch_jobs: usize) -> ReportRequest {
+fn causal_req(kind: WorkloadKind) -> ReportRequest {
     ReportRequest {
         config: small(kind),
         want_obs: true,
         want_causal: true,
         want_hotlines: true,
-        epoch_cycles,
-        epoch_jobs,
         ..ReportRequest::new(kind, 0, 0)
     }
 }
@@ -96,26 +94,18 @@ fn segments_tile_the_window_and_path_is_bounded() {
 }
 
 #[test]
-fn causal_export_is_identical_across_jobs_and_epochs() {
+fn causal_export_is_identical_across_jobs() {
     let kinds = [WorkloadKind::Pmake, WorkloadKind::Multpgm];
-    let reqs = |epoch: u64, jobs: usize| -> Vec<ReportRequest> {
-        kinds.iter().map(|&k| causal_req(k, epoch, jobs)).collect()
-    };
+    let reqs = || -> Vec<ReportRequest> { kinds.iter().map(|&k| causal_req(k)).collect() };
 
-    let serial = run_reports(reqs(0, 1), 1);
-    let fanned = run_reports(reqs(0, 1), 4);
-    let epoch = run_reports(reqs(500_000, 4), 1);
+    let serial = run_reports(reqs(), 1);
+    let fanned = run_reports(reqs(), 4);
 
     let doc = merge_causal_json(&serial);
     assert_eq!(
         doc,
         merge_causal_json(&fanned),
         "--causal-out must not depend on --jobs"
-    );
-    assert_eq!(
-        doc,
-        merge_causal_json(&epoch),
-        "--causal-out must not depend on --epoch-cycles"
     );
     for k in kinds {
         assert!(doc.contains(&format!("\"{k}\"").to_lowercase()));

@@ -10,7 +10,7 @@
 use oscar_core::{run_reports, ExperimentConfig, PreparedRun, ReportRequest};
 use oscar_machine::addr::CpuId;
 use oscar_machine::snap::{SnapReader, SnapWriter};
-use oscar_machine::Coherence;
+use oscar_machine::{Coherence, MachineConfig};
 use oscar_os::EngineStats;
 use oscar_workloads::WorkloadKind;
 
@@ -264,6 +264,13 @@ fn snapshot_restore_mid_window_matches_reference() {
     for kind in [WorkloadKind::Pmake, WorkloadKind::Multpgm] {
         let s = differential(&steady(kind, 3_000_000), Drive::Restored);
         assert!(s.private_steps > 0, "{kind:?}: no step was batched");
+    }
+    // Machines past the paper's: the thaw restores 8 CPUs' state on
+    // the bus and, on the 16-CPU directory, the home banks too.
+    for machine in [MachineConfig::scaled(8), MachineConfig::mesi_dir(16)] {
+        let mut config = small(WorkloadKind::Pmake, 2_000_000, 3_000_000).scaled_workload(true);
+        config.machine = machine;
+        differential(&config, Drive::Restored);
     }
 }
 

@@ -2,7 +2,7 @@
 //! tracked block must resolve to a named kernel symbol, stock
 //! workloads must exhibit (and the tracker must flag) genuine false
 //! sharing, the `--hotlines-out` export must be byte-identical across
-//! `--jobs` and serial-vs-epoch execution, and enabling attribution
+//! `--jobs`, and enabling attribution
 //! must never change a pre-existing export byte.
 
 use oscar_core::driver::{run_reports, ReportRequest};
@@ -82,21 +82,19 @@ fn stock_workloads_exhibit_flagged_false_sharing() {
     }
 }
 
-fn hot_req(kind: WorkloadKind, epoch_cycles: u64, epoch_jobs: usize) -> ReportRequest {
+fn hot_req(kind: WorkloadKind) -> ReportRequest {
     ReportRequest {
         config: small(kind),
         want_obs: true,
         want_hotlines: true,
-        epoch_cycles,
-        epoch_jobs,
         ..ReportRequest::new(kind, 0, 0)
     }
 }
 
 #[test]
-fn hotlines_export_is_identical_across_jobs_and_epochs() {
+fn hotlines_export_is_identical_across_jobs() {
     let kinds = [WorkloadKind::Pmake, WorkloadKind::Multpgm];
-    let reqs: Vec<ReportRequest> = kinds.iter().map(|&k| hot_req(k, 0, 1)).collect();
+    let reqs: Vec<ReportRequest> = kinds.iter().map(|&k| hot_req(k)).collect();
     let serial = run_reports(reqs.clone(), 1);
     let fanned = run_reports(reqs, 4);
     let json = merge_hotlines_json(&serial);
@@ -107,15 +105,6 @@ fn hotlines_export_is_identical_across_jobs_and_epochs() {
     );
     assert!(json.contains("\"pmake\""));
     assert!(json.contains("\"false_sharing\""));
-
-    // Time-parallel (epoch) execution replays the same trace order, so
-    // the attribution — promotion order included — cannot move.
-    let epoch: Vec<ReportRequest> = kinds.iter().map(|&k| hot_req(k, 1_000_000, 2)).collect();
-    assert_eq!(
-        json,
-        merge_hotlines_json(&run_reports(epoch, 2)),
-        "hotlines JSON must not depend on --epoch-cycles"
-    );
 }
 
 #[test]
@@ -129,7 +118,7 @@ fn enabling_hotlines_only_adds_to_existing_exports() {
         }],
         1,
     );
-    let on = run_reports(vec![hot_req(kind, 0, 1)], 1);
+    let on = run_reports(vec![hot_req(kind)], 1);
 
     // The report gains exactly the "most actively shared data"
     // section: strip the hotlines analysis and the bytes must match.

@@ -100,8 +100,6 @@ fn exports_are_byte_identical_across_jobs() {
             want_hotlines: false,
             want_causal: false,
             hotlines_top: 50,
-            epoch_cycles: 0,
-            epoch_jobs: 1,
             checkpoint_dir: None,
             stage_stats: false,
         })

@@ -1,8 +1,8 @@
 //! Byte-identity tests for the single-run pipeline (the simulation
 //! producer overlapped with the analyzer over a bounded channel): every
-//! export must stay bit-exact at any chunk size and composed with the
-//! time-parallel epoch engine. The SIMD columnar row filter is pinned
-//! against the scalar predicate the same way.
+//! export must stay bit-exact at any chunk size and with per-stage
+//! occupancy rows on. The SIMD columnar row filter is pinned against
+//! the scalar predicate the same way.
 
 use oscar_core::driver::{run_reports, ReportRequest};
 use oscar_core::pipeline::{run_streaming, run_streaming_rows, StreamOptions};
@@ -53,30 +53,24 @@ fn pipelined_streaming_is_identical_at_ragged_chunk_sizes() {
     }
 }
 
-/// The pipeline composes with `--epoch-cycles`: the time-parallel
-/// producer feeding the analyzer still yields the serial bytes, and
-/// stage stats ride along without perturbing anything.
+/// Per-stage occupancy rows ride along without perturbing any export,
+/// namespaced under the run's tag.
 #[test]
-fn pipeline_composes_with_epoch_cycles() {
+fn stage_rows_leave_exports_unchanged() {
     let kind = WorkloadKind::Pmake;
     let base = run_reports(vec![req(kind)], 1);
 
-    let composed = ReportRequest {
-        epoch_cycles: 600_000,
-        epoch_jobs: 2,
+    let staged = ReportRequest {
         stage_stats: true,
         ..req(kind)
     };
-    let out = run_reports(vec![composed], 1);
-    assert_eq!(out[0].report, base[0].report, "epoch+pipeline: report");
+    let out = run_reports(vec![staged], 1);
+    assert_eq!(out[0].report, base[0].report, "stage rows: report");
     assert_eq!(
         merge_metrics_json(&out),
         merge_metrics_json(&base),
-        "epoch+pipeline: metrics export"
+        "stage rows: metrics export"
     );
-    // Both engines reported their wall-clock rows: epoch re-executions
-    // and per-stage occupancy.
-    assert!(out[0].phases.iter().any(|p| p.id.starts_with("epoch/")));
     let stage_ids: Vec<&str> = out[0]
         .phases
         .iter()

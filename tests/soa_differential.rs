@@ -91,8 +91,6 @@ fn exports_match_across_jobs_on_the_block_path() {
             want_hotlines: false,
             want_causal: false,
             hotlines_top: 50,
-            epoch_cycles: 0,
-            epoch_jobs: 1,
             checkpoint_dir: None,
             stage_stats: false,
         })

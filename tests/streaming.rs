@@ -72,8 +72,6 @@ fn report_driver_output_is_independent_of_jobs() {
         want_hotlines: false,
         want_causal: false,
         hotlines_top: 50,
-        epoch_cycles: 0,
-        epoch_jobs: 1,
         checkpoint_dir: None,
         stage_stats: false,
     })
