@@ -314,11 +314,13 @@ fn run_one(req: &ReportRequest) -> ReportOutput {
         }
     }
     phases.append(&mut scratch.phases);
-    // Stage stats report each pipeline stage's occupancy the same way,
-    // namespaced under the run's tag.
+    // Stage stats report each pipeline stage's occupancy and the
+    // analyzer's layer split the same way, namespaced under the run's
+    // tag (`stage/produce` becomes `stage/<tag>/produce`).
     phases.extend(art.stage_phases.iter().map(|p| {
         let mut p = p.clone();
-        p.id = format!("stage/{tag}/{}", p.id.trim_start_matches("stage/"));
+        let (ns, rest) = p.id.split_once('/').unwrap_or(("stage", &p.id));
+        p.id = format!("{ns}/{tag}/{rest}");
         p
     }));
     // The engine's step counts ride with the stage rows: deterministic,

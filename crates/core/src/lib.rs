@@ -30,8 +30,8 @@ pub mod tracefile;
 pub use oscar_machine::fasthash;
 
 pub use analyze::{
-    analyze, analyze_with, AnalyzeOptions, ExhibitProvenance, QueryRow, RowSink, StreamAnalyzer,
-    TraceAnalysis, TraceMeta,
+    analyze, analyze_timed, analyze_with, AnalyzeOptions, ExhibitProvenance, LayerTimes, QueryRow,
+    RowSink, StreamAnalyzer, TraceAnalysis, TraceMeta,
 };
 pub use causal::{causal_for_run, merge_causal_json, render_causal_section, wait_chains_table};
 pub use checkpoint::CheckpointStats;

@@ -102,7 +102,7 @@ impl PerfSummary {
     }
 
     /// Phases that uniquely own their records/cycles. `pool/worker/*`,
-    /// `stage/*` and `sim/*` rows re-account work the
+    /// `stage/*`, `layer/*` and `sim/*` rows re-account work the
     /// `simulate+analyze/*` rows already carry, and a `load/*` row
     /// the records its `analyze/*` row analyzes, so summing them would
     /// double-count (and inflate the human throughput line).
@@ -110,6 +110,7 @@ impl PerfSummary {
         self.phases.iter().filter(|p| {
             !(p.id.starts_with("pool/")
                 || p.id.starts_with("stage/")
+                || p.id.starts_with("layer/")
                 || p.id.starts_with("sim/")
                 || p.id.starts_with("load/"))
         })
@@ -325,6 +326,8 @@ mod tests {
         for (id, cycles, records) in [
             ("load/multpgm", 0, 900),
             ("analyze/multpgm", 5_000, 900),
+            ("layer/multpgm/classify", 0, 900),
+            ("layer/multpgm/resim", 0, 900),
             ("render/multpgm", 0, 0),
         ] {
             s.phases.push(PhaseStats {

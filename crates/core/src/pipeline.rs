@@ -504,9 +504,9 @@ fn run_streaming_inner(
 
         let (mut art, kernel_obs, built, prod_wall) =
             producer.join().expect("simulation thread panicked");
-        let an = analyzer
-            .expect("simulation ended without trace metadata")
-            .finish();
+        let analyzer = analyzer.expect("simulation ended without trace metadata");
+        let layers = analyzer.layer_times();
+        let an = analyzer.finish();
         if opts.keep_trace {
             art.trace = kept;
         }
@@ -526,6 +526,7 @@ fn run_streaming_inner(
             if let Some(acc) = &an_acc {
                 art.stage_phases.push(acc.row("stage/analyze".into()));
             }
+            art.stage_phases.extend(layers.rows());
         }
         if let (Some(p), Some((timeline, mut metrics, cpu_fills))) = (pobs, built) {
             let tag = config.tag();
@@ -597,7 +598,15 @@ mod tests {
             "stage stats must not perturb results"
         );
         let ids: Vec<&str> = art.stage_phases.iter().map(|p| p.id.as_str()).collect();
-        assert_eq!(ids, ["stage/produce", "stage/analyze"]);
+        assert_eq!(
+            ids,
+            [
+                "stage/produce",
+                "stage/analyze",
+                "layer/classify",
+                "layer/resim"
+            ]
+        );
         let produce = &art.stage_phases[0];
         assert!(produce.records > 0);
         assert!(produce.stall_s.is_some() && produce.starve_s.is_none());
@@ -605,6 +614,11 @@ mod tests {
         assert_eq!(analyze.records, produce.records);
         assert!(analyze.starve_s.is_some() && analyze.stall_s.is_none());
         assert!(analyze.chan_depth_max.is_some() && analyze.chan_depth_mean.is_some());
+        // The layer split covers every record the analysis stage took.
+        for layer in &art.stage_phases[2..] {
+            assert_eq!(layer.records, produce.records, "{}", layer.id);
+            assert!(layer.wall_s > 0.0, "{}", layer.id);
+        }
     }
 
     #[test]
