@@ -12,6 +12,7 @@
 use std::io::{self, Read, Write};
 
 use oscar_machine::addr::{CpuId, PAddr};
+use oscar_machine::config::MAX_MEMORY_BYTES;
 use oscar_machine::monitor::BusRecord;
 use oscar_machine::{BusKind, MachineConfig};
 use oscar_os::{Layout, OsStats, Rid};
@@ -65,8 +66,9 @@ fn encode_record(rec: &BusRecord) -> [u8; RECORD_BYTES] {
     b
 }
 
-/// Decodes one record, rejecting a CPU the machine lacks and an
-/// unknown kind code.
+/// Decodes one record, rejecting a CPU the machine lacks, an unknown
+/// kind code and an address past the largest physical memory (its
+/// block index would not fit the analyzer's 32-bit miss streams).
 fn decode_record(b: &[u8; RECORD_BYTES], num_cpus: u8) -> io::Result<BusRecord> {
     let le_u64 = |at: usize| u64::from_le_bytes(b[at..at + 8].try_into().expect("8 bytes"));
     if b[8] >= num_cpus {
@@ -75,11 +77,17 @@ fn decode_record(b: &[u8; RECORD_BYTES], num_cpus: u8) -> io::Result<BusRecord> 
             b[8]
         )));
     }
+    let paddr = le_u64(10);
+    if paddr >= MAX_MEMORY_BYTES {
+        return Err(invalid(format!(
+            "record address {paddr:#x} beyond the 64 GiB physical limit"
+        )));
+    }
     Ok(BusRecord {
         time: le_u64(0),
         cpu: CpuId(b[8]),
         kind: kind_from(b[9])?,
-        paddr: PAddr::new(le_u64(10)),
+        paddr: PAddr::new(paddr),
         sub: b[18],
     })
 }
@@ -475,6 +483,8 @@ mod tests {
         let patches = [
             ("cpu", rec + 8, art.machine_config.num_cpus),
             ("kind", rec + 9, 5),
+            // The address's top byte: 2^56, far past 64 GiB.
+            ("address", rec + 17, 1),
         ];
         for (what, at, byte) in patches {
             let mut bad = buf.clone();
@@ -493,5 +503,17 @@ mod tests {
         let err = load(&mut buf.as_slice()).expect_err("1 MiB of memory");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         assert!(err.to_string().contains("does not fit"), "{err}");
+    }
+
+    /// Past 64 GiB a block index no longer fits 32 bits: the header is
+    /// refused before any record is read.
+    #[test]
+    fn memory_past_64_gib_is_invalid_data() {
+        let mut buf = saved(&with_records(3));
+        let too_big = MAX_MEMORY_BYTES + 4096;
+        buf[field(3)..field(4)].copy_from_slice(&too_big.to_le_bytes());
+        let err = load(&mut buf.as_slice()).expect_err("64 GiB + 4 KiB of memory");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("64 GiB"), "{err}");
     }
 }

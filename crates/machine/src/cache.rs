@@ -462,13 +462,38 @@ impl Cache {
     /// the number of lines dropped. Used for I-cache flushes when a code
     /// page is reallocated.
     pub fn invalidate_page(&mut self, page: Ppn) -> usize {
-        let mut dropped = 0;
+        self.invalidate_page_each(page, |_| {})
+    }
+
+    /// [`Cache::invalidate_page`], calling `dropped` with each block it
+    /// drops (in no particular order), so a caller that must know which
+    /// blocks were resident needs no scan of its own.
+    ///
+    /// When the set count is a power of two of at least the page's
+    /// block count, the page's blocks occupy distinct sets and only
+    /// those slots are probed; other geometries scan every slot.
+    pub fn invalidate_page_each(&mut self, page: Ppn, mut dropped: impl FnMut(BlockAddr)) -> usize {
+        const PAGE_BLOCKS: u64 = 1 << (PAGE_SHIFT - BLOCK_SHIFT);
+        let mut count = 0;
+        let mut drop = |b: BlockAddr| {
+            count += 1;
+            dropped(b);
+        };
+        if self.set_mask != u64::MAX && self.sets >= PAGE_BLOCKS {
+            let first = page.base().block().0;
+            for b in (first..first + PAGE_BLOCKS).map(BlockAddr) {
+                if self.invalidate(b).is_some() {
+                    drop(b);
+                }
+            }
+            return count;
+        }
         match &mut self.repr {
             Repr::Direct { slots } | Repr::TwoWay { slots, .. } => {
                 for slot in slots {
                     if *slot != DM_EMPTY && BlockAddr(*slot >> 1).page() == page {
+                        drop(BlockAddr(*slot >> 1));
                         *slot = DM_EMPTY;
-                        dropped += 1;
                     }
                 }
             }
@@ -476,15 +501,14 @@ impl Cache {
                 for slot in lines {
                     if let Some(line) = slot {
                         if line.block.page() == page {
+                            drop(line.block);
                             *slot = None;
-                            dropped += 1;
                         }
                     }
                 }
             }
         }
-        let _ = PAGE_SHIFT; // geometry tie-in documented above
-        dropped
+        count
     }
 
     /// Invalidates the entire cache, returning the number of valid lines

@@ -123,6 +123,11 @@ impl CacheConfig {
     }
 }
 
+/// The largest physical memory a machine may have: 64 GiB, the most
+/// whose 16-byte block indices fit in 32 bits (the re-simulation miss
+/// streams store them as `u32`).
+pub const MAX_MEMORY_BYTES: u64 = 1 << 36;
+
 /// Full machine configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
@@ -297,6 +302,13 @@ impl MachineConfig {
                 crate::addr::PAGE_SIZE
             ));
         }
+        if self.memory_bytes > MAX_MEMORY_BYTES {
+            return Err(format!(
+                "memory_bytes {} exceeds the 64 GiB limit of 32-bit block indices; \
+                 use at most {MAX_MEMORY_BYTES}",
+                self.memory_bytes
+            ));
+        }
         if self.clusters == 0 || self.clusters > self.num_cpus {
             return Err(format!(
                 "clusters must lie in 1..={} (got {})",
@@ -437,6 +449,19 @@ mod tests {
             "directory bank",
         );
         reject(&|c| c.icache.size_bytes = 100, "icache");
+    }
+
+    #[test]
+    fn validate_caps_memory_at_64_gib() {
+        let mut c = MachineConfig::sgi_4d340();
+        c.memory_bytes = MAX_MEMORY_BYTES;
+        c.validate().expect("64 GiB is the largest valid memory");
+        c.memory_bytes = MAX_MEMORY_BYTES + crate::addr::PAGE_SIZE;
+        let err = c.validate().expect_err("past 64 GiB");
+        assert!(
+            err.contains("64 GiB") && err.contains(&MAX_MEMORY_BYTES.to_string()),
+            "{err}"
+        );
     }
 
     #[test]

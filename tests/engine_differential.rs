@@ -242,6 +242,22 @@ fn memory_pressure_matches_reference() {
     assert!(s.catch_ups > 0, "a hook must have caught a CPU up");
 }
 
+/// Pmake's first process exits fall near 65 M cycles. The exit path
+/// flushes the dying address space from every CPU's TLB, so this
+/// window runs the exit-time catch-up hook with other CPUs' private
+/// steps pending (the debug-build hook audit checks it).
+#[test]
+fn process_exit_window_matches_reference() {
+    let config = small(WorkloadKind::Pmake, 64_000_000, 4_000_000);
+    let s = differential(&config, Drive::Straight);
+    let mut probe = PreparedRun::new(&config, config.build_workload());
+    probe.warmup();
+    probe.measure();
+    let os = probe.finish().os_stats;
+    assert!(os.exits > 0, "the window must see a process exit");
+    assert!(s.catch_ups > 0, "a hook must have caught a CPU up");
+}
+
 /// A 2-way I-cache hit updates LRU state, so loop fetches cannot be
 /// batched; only compute chunks are, and the run stays exact.
 #[test]

@@ -143,7 +143,10 @@ fn cache_capacity_invariant() {
     }
 }
 
-/// Page invalidation drops exactly the page's resident lines.
+/// Page invalidation drops exactly the page's resident lines and
+/// reports each of them, on the page-targeted path (64 KB: 4096 sets)
+/// and on the full-scan fallback (1 KB: 64 sets, fewer than a page's
+/// 256 blocks), direct-mapped and two-way.
 #[test]
 fn invalidate_page_is_exact() {
     for seed in 0..CASES {
@@ -152,16 +155,29 @@ fn invalidate_page_is_exact() {
             .map(|_| rng.gen_range(0..4096u64))
             .collect();
         let page = rng.gen_range(0..16u32);
-        let mut cache = Cache::new(CacheConfig::direct_mapped(64 * 1024));
-        for &b in &blocks {
-            cache.access(BlockAddr(b), false);
-        }
-        let before: Vec<BlockAddr> = cache.iter_resident().collect();
-        let expect = before.iter().filter(|b| b.page() == Ppn(page)).count();
-        let dropped = cache.invalidate_page(Ppn(page));
-        assert_eq!(dropped, expect, "seed {seed}");
-        for b in cache.iter_resident() {
-            assert_ne!(b.page(), Ppn(page), "seed {seed}");
+        for config in [
+            CacheConfig::direct_mapped(64 * 1024),
+            CacheConfig::direct_mapped(1024),
+            CacheConfig::set_associative(64 * 1024, 2),
+            CacheConfig::set_associative(1024, 2),
+        ] {
+            let mut cache = Cache::new(config);
+            for &b in &blocks {
+                cache.access(BlockAddr(b), false);
+            }
+            let mut expect: Vec<BlockAddr> = cache
+                .iter_resident()
+                .filter(|b| b.page() == Ppn(page))
+                .collect();
+            let mut got = Vec::new();
+            let dropped = cache.invalidate_page_each(Ppn(page), |b| got.push(b));
+            expect.sort_unstable();
+            got.sort_unstable();
+            assert_eq!(dropped, expect.len(), "seed {seed} {config:?}");
+            assert_eq!(got, expect, "seed {seed} {config:?}");
+            for b in cache.iter_resident() {
+                assert_ne!(b.page(), Ppn(page), "seed {seed} {config:?}");
+            }
         }
     }
 }
