@@ -130,13 +130,10 @@ fn main() {
     }
 
     {
-        // Columnar kind-classification kernels, every backend the
-        // target has (scalar reference, SWAR, then SSE2 on x86_64):
-        // bitmap select of write-back lanes and a bulk lane count over
-        // a 64 KiB kind column with a trace-like mix. The analyzer's
-        // block fast path runs the target's default backend; the group
-        // quantifies what each rung of the ladder buys.
-        use oscar_machine::kindscan::{available_backends, count_eq_with, select_eq_any_with};
+        // The columnar kind-classification kernel (SWAR): bitmap
+        // select of write-back lanes over a 64 KiB kind column with a
+        // trace-like mix, as the analyzer's block fast path runs it.
+        use oscar_machine::kindscan::select_eq_any;
         use oscar_machine::BusKind;
 
         let codes: Vec<u8> = {
@@ -160,19 +157,10 @@ fn main() {
         };
         let wb = [BusKind::WriteBack.code()];
         let mut out = Vec::new();
-        for backend in available_backends() {
-            h.bench(&format!("kindscan/select_wb_{}", backend.name()), || {
-                select_eq_any_with(backend, black_box(&codes), black_box(&wb), &mut out);
-                black_box(out.last().copied())
-            });
-            h.bench(&format!("kindscan/count_read_{}", backend.name()), || {
-                black_box(count_eq_with(
-                    backend,
-                    black_box(&codes),
-                    black_box(BusKind::Read.code()),
-                ))
-            });
-        }
+        h.bench("kindscan/select_wb_swar", || {
+            select_eq_any(black_box(&codes), black_box(&wb), &mut out);
+            black_box(out.last().copied())
+        });
     }
 
     {

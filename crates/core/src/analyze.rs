@@ -5,11 +5,14 @@
 //! figures need.
 //!
 //! The analyzer is a *streaming* consumer: [`StreamAnalyzer`] accepts
-//! bus records one at a time ([`StreamAnalyzer::push`]) and never needs
-//! the whole trace in memory. [`analyze`] is the batch wrapper that
-//! replays a materialized [`RunArtifacts::trace`]; the streaming
-//! pipeline in [`crate::pipeline`] instead feeds records through a
-//! bounded channel as the simulation produces them.
+//! structure-of-arrays record blocks ([`StreamAnalyzer::push_block`])
+//! and never needs the whole trace in memory. Every run feeds it that
+//! way: the streaming pipeline in [`crate::pipeline`] hands it the
+//! blocks the simulation ships over a bounded channel, and [`analyze`]
+//! (the batch wrapper, also behind `--from-trace`) packs a materialized
+//! [`RunArtifacts::trace`] into blocks. The record-at-a-time entries
+//! ([`StreamAnalyzer::push`], [`StreamAnalyzer::push_chunk`]) are the
+//! reference path the block path is differentially tested against.
 //!
 //! Like the paper's post-processor, the analysis is one sequential pass:
 //! every access is classified against the issuing CPU's mirror and
@@ -566,11 +569,11 @@ pub fn analyze_with(art: &RunArtifacts, opts: AnalyzeOptions) -> TraceAnalysis {
     analyze_timed(art, opts).0
 }
 
-/// Records per [`StreamAnalyzer::push_chunk`] in [`analyze_timed`]: the
+/// Records per [`StreamAnalyzer::push_block`] in [`analyze_timed`]: the
 /// streaming pipeline's block size, so the staged re-simulation items
 /// stay bounded and the layer rows time the same unit online and
 /// offline.
-const ANALYZE_CHUNK: usize = 4096;
+const ANALYZE_BLOCK: usize = 4096;
 
 /// [`analyze_with`], also returning the wall-clock split of the
 /// analysis into its classify and re-simulation layers.
@@ -580,8 +583,13 @@ const ANALYZE_CHUNK: usize = 4096;
 /// Panics if the machine's caches are not direct-mapped.
 pub fn analyze_timed(art: &RunArtifacts, opts: AnalyzeOptions) -> (TraceAnalysis, LayerTimes) {
     let mut a = StreamAnalyzer::new(TraceMeta::of(art), opts);
-    for chunk in art.trace.chunks(ANALYZE_CHUNK) {
-        a.push_chunk(chunk);
+    let mut block = RecordBlock::with_capacity(ANALYZE_BLOCK);
+    for chunk in art.trace.chunks(ANALYZE_BLOCK) {
+        block.clear();
+        for &rec in chunk {
+            block.push(rec);
+        }
+        a.push_block(&block);
     }
     let layers = a.layer_times();
     (a.finish(), layers)
@@ -716,8 +724,8 @@ fn fold_class(out: &mut TraceAnalysis, p: &PendingFill, class: ArchClass, cpu: u
     }
 }
 
-/// The streaming analyzer: owns all analysis state, consumes bus
-/// records one at a time, and yields the [`TraceAnalysis`] on
+/// The streaming analyzer: owns all analysis state, consumes record
+/// blocks in trace order, and yields the [`TraceAnalysis`] on
 /// [`StreamAnalyzer::finish`].
 pub struct StreamAnalyzer {
     meta: TraceMeta,
@@ -743,20 +751,14 @@ pub struct StreamAnalyzer {
     /// of a `BTreeMap` probe. Materialized into
     /// [`TraceAnalysis::os_i_by_subsystem`] at finish.
     os_i_sub_dense: Vec<u64>,
-    /// Raw-field predicate applied before a row reaches the row sink
-    /// (the query engine's pushdown; never affects analysis state).
-    row_filter: Option<RecordFilter>,
-    /// Columnar evaluator for `row_filter`: one SIMD pass per block
-    /// computes the pass bitmap the scalar [`StreamAnalyzer::emit_row`]
-    /// checks, instead of re-evaluating the predicate per row.
+    /// Columnar evaluator for the row sink's raw-field predicate (the
+    /// query engine's pushdown; never affects analysis state): one
+    /// SWAR pass per block computes the pass bitmap
+    /// [`StreamAnalyzer::emit_row`] checks.
     row_selector: Option<oscar_machine::BlockSelector>,
     /// Pass bitmap for the block currently being dispatched (64 lanes
-    /// per word); valid only while `row_pass_valid`.
+    /// per word); empty between blocks.
     row_pass: Vec<u64>,
-    /// Whether `row_pass`/`row_idx` describe the in-flight block (the
-    /// record-at-a-time oracle path leaves this false and falls back to
-    /// scalar predicate evaluation).
-    row_pass_valid: bool,
     /// Lane index of the record currently being dispatched.
     row_idx: usize,
     /// Columnar write-back prescan scratch for
@@ -815,10 +817,8 @@ impl StreamAnalyzer {
             iscratch: Vec::new(),
             dscratch: Vec::new(),
             os_i_sub_dense: Vec::new(),
-            row_filter: None,
             row_selector: None,
             row_pass: Vec::new(),
-            row_pass_valid: false,
             row_idx: 0,
             kind_scan: crate::classify::KindScan::default(),
             row_sink: None,
@@ -872,9 +872,11 @@ impl StreamAnalyzer {
     /// Installs a row sink: every record (passing `filter`, evaluated
     /// against window-relative time) is offered to `sink` as an
     /// enriched [`QueryRow`], with no effect on the analysis itself.
+    /// The filter is evaluated per block, so with a filter set, rows
+    /// are offered only for records fed through
+    /// [`StreamAnalyzer::push_block`].
     pub fn set_row_sink(&mut self, filter: Option<RecordFilter>, sink: RowSink) {
         self.row_selector = filter.map(oscar_machine::BlockSelector::new);
-        self.row_filter = filter;
         self.row_sink = Some(sink);
     }
 
@@ -892,21 +894,18 @@ impl StreamAnalyzer {
         let Some(sink) = self.row_sink.as_mut() else {
             return;
         };
-        let time = rec.time.saturating_sub(self.meta.measure_start);
-        if let Some(f) = &self.row_filter {
-            if self.row_pass_valid {
-                // Block path: the SIMD pass bitmap already evaluated the
-                // predicate for every lane of the in-flight block.
-                let i = self.row_idx;
-                if self.row_pass[i / 64] & (1u64 << (i % 64)) == 0 {
-                    return;
-                }
-            } else if !f.matches_at(rec, time) {
+        if self.row_selector.is_some() {
+            // The pass bitmap already evaluated the predicate for every
+            // lane of the in-flight block; outside a block it is empty
+            // and no row passes.
+            let i = self.row_idx;
+            let word = self.row_pass.get(i / 64).copied().unwrap_or(0);
+            if word & (1u64 << (i % 64)) == 0 {
                 return;
             }
         }
         sink(&QueryRow {
-            time,
+            time: rec.time.saturating_sub(self.meta.measure_start),
             cpu: rec.cpu.0,
             kind: rec.kind,
             paddr: rec.paddr.raw(),
@@ -934,10 +933,11 @@ impl StreamAnalyzer {
         }
     }
 
-    /// Consumes a chunk of bus records, in trace order. Identical in
-    /// observable effect to pushing each record individually — this is
-    /// the retained record-at-a-time reference path the batched
+    /// Consumes a chunk of bus records, in trace order, one at a time —
+    /// the record-at-a-time reference path the batched
     /// [`StreamAnalyzer::push_block`] is differentially tested against.
+    /// Identical in observable effect to pushing each record
+    /// individually.
     pub fn push_chunk(&mut self, recs: &[BusRecord]) {
         let started = Instant::now();
         for &rec in recs {
@@ -947,7 +947,7 @@ impl StreamAnalyzer {
     }
 
     /// Consumes a structure-of-arrays block of records, in trace order
-    /// — the streaming pipeline's hot entry. Identical in observable
+    /// — the entry every run feeds. Identical in observable
     /// effect to pushing each record individually; the columnar walk
     /// reads the kind column once per record and dispatches the
     /// stateless transaction kinds straight to their handlers, leaving
@@ -981,7 +981,7 @@ impl StreamAnalyzer {
     /// The block dispatch loop without a row sink.
     fn push_block_scan(&mut self, block: &RecordBlock) {
         // No row sink: a write-back's only observable effect is the
-        // counter bump (see `handle`), so one SIMD prescan over the
+        // counter bump (see `handle`), so one SWAR prescan over the
         // packed kind column bulk-counts every write-back lane and the
         // dispatch loop walks only the lanes that carry classification
         // state. Bitmap word order preserves trace order within and
@@ -1028,9 +1028,7 @@ impl StreamAnalyzer {
     fn push_block_rows(&mut self, block: &RecordBlock) {
         if let Some(sel) = self.row_selector.as_mut() {
             let pass = sel.select(block, self.meta.measure_start);
-            self.row_pass.clear();
             self.row_pass.extend_from_slice(pass);
-            self.row_pass_valid = true;
         }
         for i in 0..block.len() {
             self.row_idx = i;
@@ -1050,7 +1048,7 @@ impl StreamAnalyzer {
                 BusKind::UncachedRead => self.push(rec),
             }
         }
-        self.row_pass_valid = false;
+        self.row_pass.clear();
     }
 
     /// Replays the staged miss-stream items through the inline

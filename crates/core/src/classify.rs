@@ -322,13 +322,14 @@ impl ClassCounts {
 }
 
 /// Columnar kind-dispatch prescan for the analyzer's SoA hot loop:
-/// one [`oscar_machine::kindscan`] SWAR/SIMD pass over a block's packed
-/// kind column marks the write-back lanes, so the dispatch loop can
+/// one [`oscar_machine::kindscan`] SWAR pass over a block's packed kind
+/// column marks the write-back lanes, so the dispatch loop can
 /// bulk-count them (a write-back carries no classification state) and
 /// walk only the lanes that need the full access handler. Owns its
-/// bitmap so steady-state scanning allocates nothing. The scalar
-/// per-record dispatch (`StreamAnalyzer::push_chunk`) is the retained
-/// differential oracle.
+/// bitmap so steady-state scanning allocates nothing. Every run takes
+/// this block path; the record-at-a-time entries
+/// (`StreamAnalyzer::push`/`push_chunk`) survive only as its
+/// differential oracle in `tests/soa_differential.rs`.
 #[derive(Debug, Default)]
 pub struct KindScan {
     /// Lane bitmap (64 records per word) of the write-back records in

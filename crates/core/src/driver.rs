@@ -14,7 +14,9 @@ use std::time::Instant;
 
 use oscar_workloads::WorkloadKind;
 
-use crate::experiment::ExperimentConfig;
+use crate::analyze::{analyze_timed, AnalyzeOptions, TraceAnalysis};
+use crate::experiment::{ExperimentConfig, RunArtifacts};
+use crate::observe::RunObs;
 use crate::pad::CachePadded;
 use crate::perf::{PerfSummary, PhaseStats, PhaseTimer};
 use crate::pipeline::{run_streaming, StreamOptions};
@@ -252,10 +254,25 @@ pub struct ReportOutput {
     pub causal: Option<Box<oscar_obs::CausalAnalysis>>,
 }
 
+/// Prefixes a run's untagged perf rows with its tag, after the first
+/// path segment (`stage/produce` becomes `stage/<tag>/produce`,
+/// `layer/resim` becomes `layer/<tag>/resim`).
+fn tagged_rows<'a>(
+    rows: impl IntoIterator<Item = PhaseStats> + 'a,
+    tag: &'a str,
+) -> impl Iterator<Item = PhaseStats> + 'a {
+    rows.into_iter().map(move |mut p| {
+        let (ns, rest) = p.id.split_once('/').unwrap_or(("stage", &p.id));
+        p.id = format!("{ns}/{tag}/{rest}");
+        p
+    })
+}
+
+/// The live source of a report: simulate and analyze through the
+/// streaming pipeline, time it, then hand the result to the shared
+/// [`report_tail`].
 fn run_one(req: &ReportRequest) -> ReportOutput {
     let tag = req.config.tag();
-    let mut phases = Vec::new();
-
     let t = PhaseTimer::start(format!("simulate+analyze/{tag}"));
     let opts = StreamOptions {
         keep_trace: req.want_trace,
@@ -268,10 +285,98 @@ fn run_one(req: &ReportRequest) -> ReportOutput {
         ..StreamOptions::default()
     };
     let (mut art, an) = run_streaming(&req.config, &opts);
-    let mut obs = art.obs.take();
+    let obs = art.obs.take();
+    let mut scratch = PerfSummary::new(&tag, 1);
+    t.stop(
+        &mut scratch,
+        req.config.warmup_cycles + req.config.measure_cycles,
+        art.trace_records,
+    );
+    if let (Some(obs), Some(p)) = (&obs, scratch.phases.last_mut()) {
+        let pl = &obs.pipeline;
+        p.chan_depth_max = Some(pl.depth_max);
+        if pl.depth_samples > 0 {
+            p.chan_depth_mean = Some(pl.depth_sum as f64 / pl.depth_samples as f64);
+        }
+    }
+    let mut phases = scratch.phases;
+    // Stage stats report each pipeline stage's occupancy and the
+    // analyzer's layer split the same way, namespaced under the run's
+    // tag.
+    phases.extend(tagged_rows(std::mem::take(&mut art.stage_phases), &tag));
+    // The engine's step counts ride with the stage rows: deterministic,
+    // but about the simulator, not the simulated machine, so never in
+    // the metrics export.
+    if req.stage_stats {
+        phases.push(PhaseStats {
+            id: format!("sim/{tag}"),
+            cycles: req.config.measure_cycles,
+            sim: Some(art.engine),
+            ..PhaseStats::default()
+        });
+    }
+    report_tail(req, tag, &art, &an, obs, phases, Instant::now())
+}
+
+/// Re-analyzes a saved trace (`oscar-reports --from-trace`) and
+/// assembles its report through the same report tail a live run
+/// takes, so both name, render and export alike. The machine, window
+/// and tag ([`RunArtifacts::tag`]) come from the trace, not from
+/// `req.config`. The sweeps run inline, as on a live run. A saved
+/// trace holds only what the monitor saw: no kernel probes (so the
+/// sync and causal exhibits need a live run; `want_causal` is
+/// ignored), no interconnect counters, and `want_trace` is ignored.
+///
+/// The perf rows are `analyze/<tag>`, `layer/<tag>/{classify,resim}`
+/// and `render/<tag>` (which includes rebuilding the timeline).
+pub fn report_from_trace(art: &RunArtifacts, req: &ReportRequest) -> ReportOutput {
+    let tag = art.tag();
+    let mut scratch = PerfSummary::new(&tag, 1);
+    let t = PhaseTimer::start(format!("analyze/{tag}"));
+    let (an, layers) = analyze_timed(
+        art,
+        AnalyzeOptions {
+            online_sweeps: true,
+            keep_streams: false,
+            provenance: req.want_provenance,
+            hotlines: req.want_hotlines,
+            hotlines_top: req.hotlines_top.max(1),
+        },
+    );
+    t.stop(
+        &mut scratch,
+        art.measure_end - art.measure_start,
+        art.trace_records,
+    );
+    let mut phases = scratch.phases;
+    phases.extend(tagged_rows(layers.rows(), &tag));
+    let started = Instant::now();
+    let obs = (req.want_obs || req.want_provenance)
+        .then(|| Box::new(crate::observe::obs_from_artifacts(art, &an)));
+    let req = ReportRequest {
+        want_trace: false,
+        want_causal: false,
+        ..req.clone()
+    };
+    report_tail(&req, tag, art, &an, obs, phases, started)
+}
+
+/// The report tail every run shares, live or re-analyzed from a saved
+/// trace: provenance, the hot-line and causal grafts onto the
+/// observability payload, the rendered report, CSVs, the trace blob,
+/// and a `render/<tag>` row timed from `started`.
+fn report_tail(
+    req: &ReportRequest,
+    tag: String,
+    art: &RunArtifacts,
+    an: &TraceAnalysis,
+    mut obs: Option<Box<RunObs>>,
+    mut phases: Vec<PhaseStats>,
+    started: Instant,
+) -> ReportOutput {
     let provenance = req
         .want_provenance
-        .then(|| crate::observe::provenance_metrics(&an, obs.as_deref()));
+        .then(|| crate::observe::provenance_metrics(an, obs.as_deref()));
     let hotlines = an.hotlines.as_deref().map(|h| {
         Box::new(crate::observe::HotlineExport {
             analysis: h.clone(),
@@ -291,8 +396,8 @@ fn run_one(req: &ReportRequest) -> ReportOutput {
     // request asked for them.
     let causal = match (req.want_causal, obs.as_deref_mut()) {
         (true, Some(obs)) => {
-            let mut input = crate::causal::build_causal_input(&art, obs);
-            crate::causal::attach_symbols(&mut input, &an, &crate::causal::lock_ids(obs));
+            let mut input = crate::causal::build_causal_input(art, obs);
+            crate::causal::attach_symbols(&mut input, an, &crate::causal::lock_ids(obs));
             let a = oscar_obs::causal_analyze(&input);
             crate::causal::add_causal_metrics(&mut obs.metrics, &a);
             crate::causal::add_causal_flows(&mut obs.timeline, &input);
@@ -300,64 +405,29 @@ fn run_one(req: &ReportRequest) -> ReportOutput {
         }
         _ => None,
     };
-    let mut scratch = PerfSummary::new(&tag, 1);
-    t.stop(
-        &mut scratch,
-        req.config.warmup_cycles + req.config.measure_cycles,
-        art.trace_records,
-    );
-    if let (Some(obs), Some(p)) = (&obs, scratch.phases.last_mut()) {
-        let pl = &obs.pipeline;
-        p.chan_depth_max = Some(pl.depth_max);
-        if pl.depth_samples > 0 {
-            p.chan_depth_mean = Some(pl.depth_sum as f64 / pl.depth_samples as f64);
-        }
-    }
-    phases.append(&mut scratch.phases);
-    // Stage stats report each pipeline stage's occupancy and the
-    // analyzer's layer split the same way, namespaced under the run's
-    // tag (`stage/produce` becomes `stage/<tag>/produce`).
-    phases.extend(art.stage_phases.iter().map(|p| {
-        let mut p = p.clone();
-        let (ns, rest) = p.id.split_once('/').unwrap_or(("stage", &p.id));
-        p.id = format!("{ns}/{tag}/{rest}");
-        p
-    }));
-    // The engine's step counts ride with the stage rows: deterministic,
-    // but about the simulator, not the simulated machine, so never in
-    // the metrics export.
-    if req.stage_stats {
-        phases.push(PhaseStats {
-            id: format!("sim/{tag}"),
-            cycles: req.config.measure_cycles,
-            sim: Some(art.engine),
-            ..PhaseStats::default()
-        });
-    }
 
-    let started = Instant::now();
-    let mut report = render_all(&art, &an);
+    let mut report = render_all(art, an);
     // The "Critical path" section rides behind the causal gate so
     // every report produced without it keeps its historical bytes.
     if let Some(a) = &causal {
-        report += &crate::causal::render_causal_section(&art, a);
+        report += &crate::causal::render_causal_section(art, a);
     }
     let mut csv_out = Vec::new();
     if req.want_csv {
         let num_cpus = art.machine_config.num_cpus as usize;
-        csv_out.push((format!("{tag}_fig3.csv"), csv::fig3_csv(&an)));
-        csv_out.push((format!("{tag}_fig5.csv"), csv::fig5_csv(&an)));
+        csv_out.push((format!("{tag}_fig3.csv"), csv::fig3_csv(an)));
+        csv_out.push((format!("{tag}_fig5.csv"), csv::fig5_csv(an)));
         csv_out.push((
             format!("{tag}_fig6.csv"),
             csv::fig6_csv(&an.figure6_points(num_cpus)),
         ));
-        csv_out.push((format!("{tag}_fig8.csv"), csv::fig8_csv(&an)));
-        csv_out.push((format!("{tag}_fig9.csv"), csv::fig9_csv(&an)));
-        csv_out.push((format!("{tag}_table12.csv"), csv::table12_csv(&art)));
+        csv_out.push((format!("{tag}_fig8.csv"), csv::fig8_csv(an)));
+        csv_out.push((format!("{tag}_fig9.csv"), csv::fig9_csv(an)));
+        csv_out.push((format!("{tag}_table12.csv"), csv::table12_csv(art)));
     }
     let trace_blob = req.want_trace.then(|| {
         let mut buf = Vec::new();
-        tracefile::save(&art, &mut buf).expect("serialize trace");
+        tracefile::save(art, &mut buf).expect("serialize trace");
         (format!("{tag}.oscartrace"), buf)
     });
     phases.push(PhaseStats {
@@ -367,7 +437,7 @@ fn run_one(req: &ReportRequest) -> ReportOutput {
     });
 
     ReportOutput {
-        kind: req.config.workload,
+        kind: art.workload,
         tag,
         report,
         csv: csv_out,

@@ -36,8 +36,8 @@ pub use analyze::{
 pub use causal::{causal_for_run, merge_causal_json, render_causal_section, wait_chains_table};
 pub use checkpoint::CheckpointStats;
 pub use driver::{
-    parallel_map, parallel_map_tallied, run_reports, run_reports_pooled, ReportOutput,
-    ReportRequest, WorkerTally,
+    parallel_map, parallel_map_tallied, report_from_trace, run_reports, run_reports_pooled,
+    ReportOutput, ReportRequest, WorkerTally,
 };
 pub use experiment::{run, ExperimentConfig, PreparedRun, RunArtifacts};
 pub use hotline::{

@@ -2,13 +2,15 @@
 //! monitor stream and assembling the metrics export.
 //!
 //! The [`TimelineBuilder`] is a second, independent consumer of the
-//! monitor's bus-record stream (attached through the monitor's sink
-//! fan-out): it runs its own escape [`Decoder`] and mirrors the
-//! analyzer's mode state machine to rebuild, per CPU, the
-//! user/OS/idle mode track, the operation-class segments (syscall
-//! classes, TLB-fault handling, interrupts), and a bus-occupancy
-//! counter track — everything a trace viewer needs to *see* the run
-//! the paper only reports in aggregate. Kernel-side probe data that
+//! monitor's bus-record stream: on a live run the streaming pipeline
+//! hands it each block on the analysis thread, right after the
+//! analyzer ([`crate::pipeline`]); offline, [`obs_from_artifacts`]
+//! replays the saved trace through it. It runs its own escape
+//! [`Decoder`] and mirrors the analyzer's mode state machine to
+//! rebuild, per CPU, the user/OS/idle mode track, the operation-class
+//! segments (syscall classes, TLB-fault handling, interrupts), and a
+//! bus-occupancy counter track — everything a trace viewer needs to
+//! *see* the run the paper only reports in aggregate. Kernel-side probe data that
 //! the monitor cannot observe (lock spin/hold intervals ride the
 //! synchronization bus, which is invisible to the trace hardware —
 //! the paper's Section 2.2 point) is grafted on afterwards by
@@ -23,7 +25,7 @@
 
 use std::collections::HashMap;
 
-use oscar_machine::monitor::BusRecord;
+use oscar_machine::monitor::{BusRecord, RecordBlock};
 use oscar_machine::BusKind;
 use oscar_obs::{Log2Histogram, Metrics, Timeline};
 use oscar_os::{
@@ -291,6 +293,14 @@ impl TimelineBuilder {
     /// Feeds a batch of monitor records, in trace order.
     pub fn push_chunk(&mut self, recs: &[BusRecord]) {
         for &rec in recs {
+            self.push(rec);
+        }
+    }
+
+    /// Feeds a structure-of-arrays block of monitor records, in trace
+    /// order (the streaming pipeline's unit).
+    pub fn push_block(&mut self, block: &RecordBlock) {
+        for rec in block.iter() {
             self.push(rec);
         }
     }

@@ -24,7 +24,7 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -55,11 +55,10 @@ pub struct StreamOptions {
     /// it carries no sweep points at all; queries, which need none,
     /// turn it off.
     pub online_sweeps: bool,
-    /// Enable observability: kernel probes, a live timeline decoder on
-    /// the monitor stream (second sink via the fan-out), and pipeline
-    /// self-metrics, delivered in [`RunArtifacts::obs`]. Off by
-    /// default; when off no probe state is allocated and no per-record
-    /// work happens.
+    /// Enable observability: kernel probes, a timeline decoder fed each
+    /// block on the analysis thread, and pipeline self-metrics,
+    /// delivered in [`RunArtifacts::obs`]. Off by default; when off no
+    /// probe state is allocated and no per-record work happens.
     pub observe: bool,
     /// Accumulate per-cell exhibit provenance
     /// ([`crate::analyze::ExhibitProvenance`]) while analyzing; off by
@@ -248,18 +247,6 @@ impl ChunkSink {
 }
 
 impl TraceSink for ChunkSink {
-    fn record(&mut self, rec: BusRecord) {
-        self.buf.push(rec);
-        self.flush_full();
-    }
-
-    fn record_batch(&mut self, recs: &[BusRecord]) {
-        for &rec in recs {
-            self.buf.push(rec);
-        }
-        self.flush_full();
-    }
-
     fn record_block(&mut self, block: &RecordBlock) {
         self.buf.append(block);
         self.flush_full();
@@ -271,52 +258,6 @@ impl Drop for ChunkSink {
         if !self.buf.is_empty() {
             let chunk = std::mem::take(&mut self.buf);
             self.send(chunk);
-        }
-    }
-}
-
-/// A second [`TraceSink`] (attached through the monitor's fan-out) that
-/// feeds every record to a [`TimelineBuilder`]. The builder lives in a
-/// shared slot so the producer can reclaim it after the monitor drops
-/// the sink; the mutex is uncontended — only the simulation thread
-/// touches it while the sink is attached.
-struct TimelineSink {
-    builder: Arc<Mutex<Option<TimelineBuilder>>>,
-}
-
-impl TraceSink for TimelineSink {
-    fn record(&mut self, rec: BusRecord) {
-        if let Some(b) = self
-            .builder
-            .lock()
-            .expect("timeline builder poisoned")
-            .as_mut()
-        {
-            b.push(rec);
-        }
-    }
-
-    fn record_batch(&mut self, recs: &[BusRecord]) {
-        if let Some(b) = self
-            .builder
-            .lock()
-            .expect("timeline builder poisoned")
-            .as_mut()
-        {
-            b.push_chunk(recs);
-        }
-    }
-
-    fn record_block(&mut self, block: &RecordBlock) {
-        if let Some(b) = self
-            .builder
-            .lock()
-            .expect("timeline builder poisoned")
-            .as_mut()
-        {
-            for rec in block.iter() {
-                b.push(rec);
-            }
         }
     }
 }
@@ -406,42 +347,33 @@ fn run_streaming_inner(
                 measure_end: measure_start + config.measure_cycles,
             };
             tx.send(StreamMsg::Meta(Box::new(meta))).ok();
-            // Observability attaches only for the measured window, so
-            // warm-up never pollutes the probes or the timeline.
-            let obs_slot = observe.then(|| {
+            // Kernel probes attach only for the measured window, so
+            // warm-up never pollutes them.
+            if observe {
                 prep.os.enable_obs(measure_start);
-                Arc::new(Mutex::new(Some(TimelineBuilder::new(
-                    config.machine.num_cpus as usize,
-                    measure_start,
-                ))))
-            });
+            }
             prep.machine.monitor_mut().set_sink(Box::new(ChunkSink::new(
                 tx,
                 chunk_records,
                 producer_depth,
                 producer_stall,
             )));
-            if let Some(slot) = &obs_slot {
-                prep.machine.monitor_mut().add_sink(Box::new(TimelineSink {
-                    builder: Arc::clone(slot),
-                }));
-            }
             prep.measure();
             let kernel_obs = prep.os.take_obs(measure_start + config.measure_cycles);
-            // finish() detaches (and so flushes) the sinks; the channel
+            // finish() detaches (and so flushes) the sink; the channel
             // closes when the sink's sender drops.
             let mut art = prep.finish();
             if checkpoint_dir.is_some() {
                 art.checkpoint = Some(ckpt);
             }
-            let built = obs_slot
-                .and_then(|slot| slot.lock().expect("timeline builder poisoned").take())
-                .map(|b| b.finish(art.measure_end));
-            (art, kernel_obs, built, prod_t0.elapsed())
+            (art, kernel_obs, prod_t0.elapsed())
         });
 
-        // Analysis stage, on the calling thread.
+        // Analysis stage, on the calling thread. The timeline decoder
+        // (observability only) reads the same blocks right after the
+        // analyzer, so it sees exactly the measured window's records.
         let mut analyzer: Option<StreamAnalyzer> = None;
+        let mut timeline: Option<TimelineBuilder> = None;
         let mut kept: Vec<BusRecord> = Vec::new();
         let mut pobs = observe.then(PipelineObs::default);
         let mut an_acc = stage_stats.then(StageAcc::default);
@@ -460,6 +392,12 @@ fn run_streaming_inner(
             };
             match msg {
                 StreamMsg::Meta(meta) => {
+                    if observe {
+                        timeline = Some(TimelineBuilder::new(
+                            meta.machine_config.num_cpus as usize,
+                            meta.measure_start,
+                        ));
+                    }
                     let mut a = StreamAnalyzer::new(*meta, aopts.clone());
                     if let Some((filter, sink)) = row_hook.take() {
                         a.set_row_sink(filter, sink);
@@ -492,6 +430,9 @@ fn run_streaming_inner(
                         .as_mut()
                         .expect("trace metadata must precede records")
                         .push_block(&recs);
+                    if let Some(t) = &mut timeline {
+                        t.push_block(&recs);
+                    }
                     if opts.keep_trace {
                         kept.extend(recs.iter());
                     }
@@ -502,8 +443,8 @@ fn run_streaming_inner(
             acc.wall = an_t0.elapsed();
         }
 
-        let (mut art, kernel_obs, built, prod_wall) =
-            producer.join().expect("simulation thread panicked");
+        let (mut art, kernel_obs, prod_wall) = producer.join().expect("simulation thread panicked");
+        let built = timeline.map(|t| t.finish(art.measure_end));
         let analyzer = analyzer.expect("simulation ended without trace metadata");
         let layers = analyzer.layer_times();
         let an = analyzer.finish();

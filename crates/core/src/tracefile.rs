@@ -14,14 +14,16 @@ use std::io::{self, Read, Write};
 use oscar_machine::addr::{CpuId, PAddr};
 use oscar_machine::config::MAX_MEMORY_BYTES;
 use oscar_machine::monitor::BusRecord;
-use oscar_machine::{BusKind, MachineConfig};
+use oscar_machine::{BusKind, Coherence, MachineConfig};
 use oscar_os::{Layout, OsStats, Rid};
 use oscar_workloads::WorkloadKind;
 
 use crate::experiment::RunArtifacts;
 
 // TR2: each record carries a sub-block offset byte after the address.
-const MAGIC: &[u8; 8] = b"OSCARTR2";
+// TR3: the header carries the coherence backend and directory bank
+// count, so a trace from a directory machine keeps its run tag.
+const MAGIC: &[u8; 8] = b"OSCARTR3";
 
 fn kind_code(k: BusKind) -> u8 {
     match k {
@@ -112,6 +114,14 @@ fn read_u8_field(r: &mut impl Read, name: &str) -> io::Result<u8> {
     u8::try_from(v).map_err(|_| invalid(format!("{name} {v} out of range")))
 }
 
+fn coherence_from(code: u64) -> io::Result<Coherence> {
+    match code {
+        0 => Ok(Coherence::Snoop),
+        1 => Ok(Coherence::MesiDir),
+        other => Err(invalid(format!("bad coherence code {other}"))),
+    }
+}
+
 fn workload_code(w: WorkloadKind) -> u64 {
     match w {
         WorkloadKind::Pmake => 0,
@@ -149,6 +159,15 @@ pub fn save(art: &RunArtifacts, w: &mut impl Write) -> io::Result<()> {
     write_u64(w, art.measure_start)?;
     write_u64(w, art.measure_end)?;
     write_u64(w, workload_code(art.workload))?;
+    let m = &art.machine_config;
+    write_u64(
+        w,
+        match m.coherence {
+            Coherence::Snoop => 0,
+            Coherence::MesiDir => 1,
+        },
+    )?;
+    write_u64(w, u64::from(m.dir_banks))?;
     // Layout recipe: the routine link order as u16 indices into Rid::ALL.
     let order = art.layout.order();
     write_u64(w, order.len() as u64)?;
@@ -193,14 +212,6 @@ pub fn load(r: &mut impl Read) -> io::Result<RunArtifacts> {
     let remote_fill_extra = read_u64(r)?;
     let memory_bytes = read_u64(r)?;
     let replicas = read_u8_field(r, "replicas")?;
-    let mut machine_config = MachineConfig::sgi_4d340();
-    machine_config.num_cpus = num_cpus;
-    machine_config.clusters = clusters;
-    machine_config.remote_fill_extra = remote_fill_extra;
-    machine_config.memory_bytes = memory_bytes;
-    machine_config
-        .validate()
-        .map_err(|e| invalid(format!("bad machine: {e}")))?;
     let measure_start = read_u64(r)?;
     let measure_end = read_u64(r)?;
     if measure_end < measure_start {
@@ -209,6 +220,17 @@ pub fn load(r: &mut impl Read) -> io::Result<RunArtifacts> {
         )));
     }
     let workload = workload_from(read_u64(r)?)?;
+    let mut machine_config = MachineConfig::sgi_4d340();
+    machine_config.num_cpus = num_cpus;
+    machine_config.clusters = clusters;
+    machine_config.remote_fill_extra = remote_fill_extra;
+    machine_config.memory_bytes = memory_bytes;
+    machine_config.coherence = coherence_from(read_u64(r)?)?;
+    machine_config.dir_banks =
+        u16::try_from(read_u64(r)?).map_err(|_| invalid("dir_banks out of range".into()))?;
+    machine_config
+        .validate()
+        .map_err(|e| invalid(format!("bad machine: {e}")))?;
     let order_len = read_u64(r)? as usize;
     if order_len != Rid::ALL.len() {
         return Err(io::Error::new(
@@ -305,10 +327,14 @@ mod tests {
 
     /// Byte offset of header field `i` (the `u64`s after the magic, in
     /// `save` order: num_cpus, clusters, remote_fill_extra,
-    /// memory_bytes, replicas, measure_start, measure_end, ...).
+    /// memory_bytes, replicas, measure_start, measure_end, workload,
+    /// coherence, dir_banks, routine count).
     fn field(i: usize) -> usize {
         MAGIC.len() + 8 * i
     }
+
+    /// The `u64` header fields before the routine indices.
+    const HEADER_FIELDS: usize = 11;
 
     /// Each malformed file used to abort the analyzer or report a
     /// nonsense window; each must now fail to load with `InvalidData`.
@@ -322,10 +348,10 @@ mod tests {
         save(&art, &mut good).expect("save");
         assert!(load(&mut good.as_slice()).is_ok(), "unpatched file loads");
         let start = u64::from_le_bytes(good[field(5)..field(6)].try_into().unwrap());
-        // Nine header fields, the routine order, the record count, then
+        // The header fields, the routine order, the record count, then
         // the first record's time and its CPU byte.
-        let cpu_byte = field(9) + 2 * Rid::ALL.len() + 8 + 8;
-        let patches: [(&str, usize, Vec<u8>); 3] = [
+        let cpu_byte = field(HEADER_FIELDS) + 2 * Rid::ALL.len() + 8 + 8;
+        let patches: [(&str, usize, Vec<u8>); 4] = [
             // 256 CPUs used to wrap to 0 when narrowed.
             ("num_cpus 256", field(0), 256u64.to_le_bytes().to_vec()),
             (
@@ -334,6 +360,7 @@ mod tests {
                 (start - 1).to_le_bytes().to_vec(),
             ),
             ("record from cpu 200", cpu_byte, vec![200]),
+            ("coherence code 7", field(8), 7u64.to_le_bytes().to_vec()),
         ];
         for (what, at, bytes) in patches {
             let mut buf = good.clone();
@@ -354,10 +381,10 @@ mod tests {
         assert_eq!(buf.len(), records_at() + art.trace.len() * RECORD_BYTES);
     }
 
-    /// Byte offset of the first record: nine header fields, the routine
+    /// Byte offset of the first record: the header fields, the routine
     /// order, then the record count.
     fn records_at() -> usize {
-        field(9) + 2 * Rid::ALL.len() + 8
+        field(HEADER_FIELDS) + 2 * Rid::ALL.len() + 8
     }
 
     /// A short real run whose trace is replaced by `n` synthetic records
@@ -515,5 +542,17 @@ mod tests {
         let err = load(&mut buf.as_slice()).expect_err("64 GiB + 4 KiB of memory");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         assert!(err.to_string().contains("64 GiB"), "{err}");
+    }
+
+    /// The coherence backend and bank count round-trip, so a trace
+    /// from a directory machine re-analyzes under its own run tag.
+    #[test]
+    fn directory_machine_keeps_its_tag() {
+        let mut art = with_records(3);
+        art.machine_config.coherence = Coherence::MesiDir;
+        art.machine_config.dir_banks = 8;
+        let loaded = load(&mut saved(&art).as_slice()).expect("load");
+        assert_same(&art, &loaded);
+        assert_eq!(loaded.tag(), "pmake-c4-dir");
     }
 }

@@ -10,7 +10,7 @@
 ///
 /// `repr(u8)` with fixed discriminants: the monitor stages kinds as a
 /// packed byte column ([`crate::monitor::RecordBlock::kind_codes`]),
-/// and the SWAR/SIMD scan kernels in [`crate::kindscan`] compare those
+/// and the SWAR scan kernel in [`crate::kindscan`] compares those
 /// bytes directly against [`BusKind::code`] values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]

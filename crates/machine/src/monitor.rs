@@ -163,34 +163,16 @@ impl RecordBlock {
 /// to the sink instead, so memory use no longer scales with trace
 /// length. This models the paper's master-process protocol, which ships
 /// trace segments off the machine instead of holding the whole trace.
+/// Records travel in one unit only, the columnar [`RecordBlock`].
 pub trait TraceSink: Send {
-    /// Receives one monitored record, in trace order.
-    fn record(&mut self, rec: BusRecord);
-
-    /// Receives a batch of records, in trace order. The default forwards
-    /// one at a time; sinks that batch anyway (channels, files) should
-    /// override it to ingest the slice wholesale.
-    fn record_batch(&mut self, recs: &[BusRecord]) {
-        for &rec in recs {
-            self.record(rec);
-        }
-    }
-
-    /// Receives a structure-of-arrays batch, in trace order. The
-    /// default reassembles records one at a time; sinks on the hot
-    /// analysis path override it to copy the columns wholesale.
-    fn record_block(&mut self, block: &RecordBlock) {
-        for rec in block.iter() {
-            self.record(rec);
-        }
-    }
+    /// Receives a structure-of-arrays batch, in trace order.
+    fn record_block(&mut self, block: &RecordBlock);
 }
 
 /// A cheap raw-field predicate over [`BusRecord`]s: CPU set, transaction
 /// kinds, inclusive physical-address range and inclusive time window,
 /// each optional. This is what the query engine pushes down into the
-/// streaming pipeline, and what [`FilteredSink`] applies in front of an
-/// arbitrary sink.
+/// streaming pipeline.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecordFilter {
     /// Accepted CPUs as a bitmask over CPU indices (`None` = all).
@@ -259,7 +241,7 @@ impl RecordFilter {
 
 /// Columnar evaluator for one [`RecordFilter`] over [`RecordBlock`]s:
 /// the kind and CPU predicates run through the [`crate::kindscan`]
-/// SWAR/SIMD kernels over the packed byte columns, the (rare) address
+/// SWAR kernel over the packed byte columns, the (rare) address
 /// and time range predicates refine the surviving lanes scalar-wise.
 /// The result is a pass bitmap — bit `i` of word `w` covers record
 /// `64 * w + i` — identical lane-for-lane to evaluating
@@ -354,69 +336,8 @@ impl BlockSelector {
     }
 }
 
-/// A [`TraceSink`] adapter that forwards only the records matching a
-/// [`RecordFilter`] (by absolute record time) to the wrapped sink.
-/// Block ingestion evaluates the filter columnar-wise through a
-/// [`BlockSelector`].
-pub struct FilteredSink<S> {
-    filter: RecordFilter,
-    selector: BlockSelector,
-    inner: S,
-    batch: Vec<BusRecord>,
-}
-
-impl<S: TraceSink> FilteredSink<S> {
-    /// Wraps `inner` behind `filter`.
-    pub fn new(filter: RecordFilter, inner: S) -> Self {
-        FilteredSink {
-            filter,
-            selector: BlockSelector::new(filter),
-            inner,
-            batch: Vec::new(),
-        }
-    }
-
-    /// Unwraps the inner sink.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: TraceSink> TraceSink for FilteredSink<S> {
-    fn record(&mut self, rec: BusRecord) {
-        if self.filter.matches(&rec) {
-            self.inner.record(rec);
-        }
-    }
-
-    fn record_batch(&mut self, recs: &[BusRecord]) {
-        self.batch.clear();
-        self.batch
-            .extend(recs.iter().filter(|r| self.filter.matches(r)));
-        if !self.batch.is_empty() {
-            self.inner.record_batch(&self.batch);
-        }
-    }
-
-    fn record_block(&mut self, block: &RecordBlock) {
-        self.batch.clear();
-        let pass = self.selector.select(block, 0);
-        for (w, &word) in pass.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let i = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                self.batch.push(block.get(i));
-            }
-        }
-        if !self.batch.is_empty() {
-            self.inner.record_batch(&self.batch);
-        }
-    }
-}
-
 /// Records staged in the buffer before being handed to an attached sink
-/// in one [`TraceSink::record_batch`] call. Batch boundaries carry no
+/// in one [`TraceSink::record_block`] call. Batch boundaries carry no
 /// meaning, so the value only trades per-record virtual-call overhead
 /// against staging memory.
 const SINK_BATCH: usize = 1024;
@@ -428,10 +349,9 @@ pub struct TraceBuffer {
     lost: u64,
     total_seen: u64,
     enabled: bool,
-    /// Attached sinks; every staged batch fans out to each of them, in
-    /// attachment order.
-    sinks: Vec<Box<dyn TraceSink>>,
-    /// Records seen while sinks are attached, not yet handed over,
+    /// The attached sink, if any.
+    sink: Option<Box<dyn TraceSink>>,
+    /// Records seen while a sink is attached, not yet handed over,
     /// staged as structure-of-arrays columns.
     stage: RecordBlock,
 }
@@ -444,7 +364,7 @@ impl std::fmt::Debug for TraceBuffer {
             .field("lost", &self.lost)
             .field("total_seen", &self.total_seen)
             .field("enabled", &self.enabled)
-            .field("sinks", &self.sinks.len())
+            .field("sink", &self.sink.is_some())
             .finish()
     }
 }
@@ -459,18 +379,18 @@ impl TraceBuffer {
             lost: 0,
             total_seen: 0,
             enabled: true,
-            sinks: Vec::new(),
+            sink: None,
             stage: RecordBlock::default(),
         }
     }
 
-    /// Hands any staged records to every attached sink.
+    /// Hands any staged records to the attached sink.
     fn flush_stage(&mut self) {
-        if !self.sinks.is_empty() && !self.stage.is_empty() {
-            for sink in &mut self.sinks {
+        if let Some(sink) = &mut self.sink {
+            if !self.stage.is_empty() {
                 sink.record_block(&self.stage);
+                self.stage.clear();
             }
-            self.stage.clear();
         }
     }
 
@@ -485,41 +405,29 @@ impl TraceBuffer {
     }
 
     /// Attaches a streaming sink, replacing any already attached.
-    /// Subsequent records (while enabled) go to the sinks instead of
-    /// the in-memory buffer, staged into batches. Any records staged
-    /// for previous sinks are flushed to them first.
+    /// Subsequent records (while enabled) go to the sink instead of the
+    /// in-memory buffer, staged into batches. Any records staged for a
+    /// previous sink are flushed to it first.
     pub fn set_sink(&mut self, sink: Box<dyn TraceSink>) {
         self.flush_stage();
-        self.sinks.clear();
-        self.sinks.push(sink);
+        self.sink = Some(sink);
     }
 
-    /// Attaches an additional sink alongside any existing ones (fan-
-    /// out): every subsequent record is delivered to every sink, in
-    /// attachment order. Records already staged are flushed to the
-    /// previously attached sinks first, so a new sink only sees records
-    /// from its attachment point on.
-    pub fn add_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.flush_stage();
-        self.sinks.push(sink);
-    }
-
-    /// Flushes staged records to the sinks, then detaches and drops
-    /// them all (dropping typically flushes whatever each sink itself
-    /// buffered).
+    /// Flushes staged records to the sink, then detaches and drops it
+    /// (dropping typically flushes whatever the sink itself buffered).
     pub fn clear_sink(&mut self) {
         self.flush_stage();
-        self.sinks.clear();
+        self.sink = None;
     }
 
-    /// Whether at least one streaming sink is attached.
+    /// Whether a streaming sink is attached.
     pub fn has_sink(&self) -> bool {
-        !self.sinks.is_empty()
+        self.sink.is_some()
     }
 
     /// Appends a record, dropping it (and counting the loss) if the
     /// buffer is full. With a sink attached the record is staged and
-    /// handed to the sink in batches ([`TraceSink::record_batch`])
+    /// handed to the sink in batches ([`TraceSink::record_block`])
     /// rather than buffered; [`TraceBuffer::clear_sink`] (or dropping
     /// the buffer) flushes the partial last batch.
     pub fn record(&mut self, rec: BusRecord) {
@@ -527,7 +435,7 @@ impl TraceBuffer {
             return;
         }
         self.total_seen += 1;
-        if !self.sinks.is_empty() {
+        if self.sink.is_some() {
             self.stage.push(rec);
             if self.stage.len() >= SINK_BATCH {
                 self.flush_stage();
@@ -601,11 +509,11 @@ impl TraceBuffer {
     /// # Panics
     ///
     /// Panics if a streaming sink is attached or records are staged for
-    /// one: sinks hold live channels and cannot be frozen. Detach with
+    /// one: a sink holds live channels and cannot be frozen. Detach with
     /// [`TraceBuffer::clear_sink`] before snapshotting.
     pub fn save(&self, w: &mut crate::snap::SnapWriter) {
         assert!(
-            self.sinks.is_empty() && self.stage.is_empty(),
+            self.sink.is_none() && self.stage.is_empty(),
             "cannot snapshot a trace buffer with an attached sink"
         );
         w.bool(self.enabled);
@@ -635,7 +543,7 @@ impl TraceBuffer {
     ) -> Result<(), crate::snap::SnapError> {
         use crate::snap::SnapError;
         assert!(
-            self.sinks.is_empty() && self.stage.is_empty(),
+            self.sink.is_none() && self.stage.is_empty(),
             "cannot restore into a trace buffer with an attached sink"
         );
         self.enabled = r.bool()?;
@@ -746,16 +654,20 @@ mod tests {
         assert_eq!(r.monitor_time(), 50);
     }
 
-    #[test]
-    fn sink_diverts_records_from_the_buffer() {
-        use std::sync::mpsc;
+    /// A sink that forwards every record of each block over a channel.
+    struct Tx(std::sync::mpsc::Sender<BusRecord>);
 
-        struct Tx(mpsc::Sender<BusRecord>);
-        impl TraceSink for Tx {
-            fn record(&mut self, rec: BusRecord) {
+    impl TraceSink for Tx {
+        fn record_block(&mut self, block: &RecordBlock) {
+            for rec in block.iter() {
                 self.0.send(rec).ok();
             }
         }
+    }
+
+    #[test]
+    fn sink_diverts_records_from_the_buffer() {
+        use std::sync::mpsc;
 
         let (tx, rx) = mpsc::channel();
         let mut b = TraceBuffer::new(BufferMode::Unbounded);
@@ -781,46 +693,8 @@ mod tests {
     }
 
     #[test]
-    fn fan_out_delivers_every_record_to_every_sink() {
-        use std::sync::mpsc;
-
-        struct Tx(mpsc::Sender<BusRecord>);
-        impl TraceSink for Tx {
-            fn record(&mut self, rec: BusRecord) {
-                self.0.send(rec).ok();
-            }
-        }
-
-        let (tx1, rx1) = mpsc::channel();
-        let (tx2, rx2) = mpsc::channel();
-        let mut b = TraceBuffer::new(BufferMode::Unbounded);
-        b.set_sink(Box::new(Tx(tx1)));
-        b.record(rec(0));
-        // The second sink attaches later and must only see records from
-        // its attachment point on.
-        b.add_sink(Box::new(Tx(tx2)));
-        for t in 1..5 {
-            b.record(rec(t));
-        }
-        assert!(b.is_empty(), "sinks divert records from the buffer");
-        b.clear_sink();
-        assert!(!b.has_sink());
-        let got1: Vec<u64> = rx1.try_iter().map(|r| r.time).collect();
-        let got2: Vec<u64> = rx2.try_iter().map(|r| r.time).collect();
-        assert_eq!(got1, vec![0, 1, 2, 3, 4]);
-        assert_eq!(got2, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
     fn set_sink_replaces_previous_sinks() {
         use std::sync::mpsc;
-
-        struct Tx(mpsc::Sender<u64>);
-        impl TraceSink for Tx {
-            fn record(&mut self, rec: BusRecord) {
-                self.0.send(rec.time).ok();
-            }
-        }
 
         let (tx1, rx1) = mpsc::channel();
         let (tx2, rx2) = mpsc::channel();
@@ -830,8 +704,10 @@ mod tests {
         b.set_sink(Box::new(Tx(tx2)));
         b.record(rec(2));
         b.clear_sink();
-        assert_eq!(rx1.try_iter().collect::<Vec<_>>(), vec![1]);
-        assert_eq!(rx2.try_iter().collect::<Vec<_>>(), vec![2]);
+        let times =
+            |rx: mpsc::Receiver<BusRecord>| rx.try_iter().map(|r| r.time).collect::<Vec<_>>();
+        assert_eq!(times(rx1), vec![1]);
+        assert_eq!(times(rx2), vec![2]);
     }
 
     #[test]
@@ -887,42 +763,11 @@ mod tests {
     }
 
     #[test]
-    fn filtered_sink_forwards_only_matches() {
-        use std::sync::mpsc;
-
-        struct Tx(mpsc::Sender<u64>);
-        impl TraceSink for Tx {
-            fn record(&mut self, rec: BusRecord) {
-                self.0.send(rec.time).ok();
-            }
-        }
-
-        let (tx, rx) = mpsc::channel();
-        let filter = RecordFilter {
-            time: Some((2, 3)),
-            ..Default::default()
-        };
-        let mut b = TraceBuffer::new(BufferMode::Unbounded);
-        b.set_sink(Box::new(FilteredSink::new(filter, Tx(tx))));
-        for t in 0..6 {
-            b.record(rec(t));
-        }
-        b.clear_sink();
-        assert_eq!(rx.try_iter().collect::<Vec<_>>(), vec![2, 3]);
-    }
-
-    #[test]
     fn sink_sees_full_batches_promptly_and_tail_on_drop() {
         use std::sync::mpsc;
 
-        struct Tx(mpsc::Sender<usize>);
-        impl TraceSink for Tx {
-            fn record(&mut self, _rec: BusRecord) {
-                self.0.send(1).ok();
-            }
-            fn record_batch(&mut self, recs: &[BusRecord]) {
-                self.0.send(recs.len()).ok();
-            }
+        struct Lens(mpsc::Sender<usize>);
+        impl TraceSink for Lens {
             fn record_block(&mut self, block: &RecordBlock) {
                 self.0.send(block.len()).ok();
             }
@@ -930,7 +775,7 @@ mod tests {
 
         let (tx, rx) = mpsc::channel();
         let mut b = TraceBuffer::new(BufferMode::Unbounded);
-        b.set_sink(Box::new(Tx(tx)));
+        b.set_sink(Box::new(Lens(tx)));
         for t in 0..(SINK_BATCH as u64 + 3) {
             b.record(rec(t));
         }

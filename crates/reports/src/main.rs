@@ -19,14 +19,13 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use oscar_core::driver::{run_reports_pooled, ReportRequest};
+use oscar_core::driver::{report_from_trace, run_reports_pooled, ReportOutput, ReportRequest};
 use oscar_core::observe::merge_hotlines_json;
-use oscar_core::perf::{PerfSummary, PhaseStats, PhaseTimer};
+use oscar_core::perf::{PerfSummary, PhaseStats};
 use oscar_core::query::{compile, run_compiled};
 use oscar_core::{
-    analyze_timed, csv, merge_metrics_json, merge_provenance_json, merge_trace_json,
-    obs_from_artifacts, parallel_map, provenance_metrics, render_all, tracefile, AnalyzeOptions,
-    ExperimentConfig,
+    merge_causal_json, merge_metrics_json, merge_provenance_json, merge_trace_json, parallel_map,
+    tracefile, ExperimentConfig,
 };
 use oscar_machine::{Coherence, MachineConfig};
 use oscar_obs::query::QuerySpec;
@@ -404,12 +403,51 @@ fn parse_args(argv: &[String]) -> Args {
     }
 }
 
-/// The `--from-trace` path: batch-analyze a saved trace (no simulation,
-/// nothing to parallelize). The perf summary has one row per step:
-/// `load/<tag>`, `analyze/<tag>` and `render/<tag>` (the report, CSVs
-/// and exports), plus the `layer/<tag>/classify` and
-/// `layer/<tag>/resim` split of the analysis.
-fn emit_from_trace(path: &PathBuf, args: &Args, started: Instant) {
+/// The request for one run, with the output switches the flags set.
+fn request(args: &Args, config: ExperimentConfig) -> ReportRequest {
+    ReportRequest {
+        config,
+        want_csv: args.csv_dir.is_some(),
+        want_trace: args.save_trace_dir.is_some(),
+        want_obs: args.trace_json.is_some() || args.metrics_out.is_some(),
+        want_provenance: args.provenance_out.is_some(),
+        want_hotlines: args.hotlines_out.is_some(),
+        want_causal: args.causal_out.is_some(),
+        hotlines_top: args.hotlines_top,
+        checkpoint_dir: args.checkpoint_dir.clone(),
+        // Per-stage occupancy rows ride with the perf summary only
+        // (wall-clock data; never in the deterministic exports).
+        stage_stats: args.perf_out.is_some(),
+    }
+}
+
+/// The live runs: every workload x machine configuration, fanned
+/// across `--jobs` workers. The perf summary carries each run's rows,
+/// then one row per pool worker.
+fn run_live(args: &Args) -> (Vec<ReportOutput>, PerfSummary) {
+    let reqs: Vec<ReportRequest> = args
+        .kinds
+        .iter()
+        .flat_map(|&kind| args.machine.configs(kind, args.measure, args.warmup))
+        .map(|config| request(args, config))
+        .collect();
+    let (outputs, pool_rows) = run_reports_pooled(reqs, args.jobs);
+    let mut perf = PerfSummary::new("reports", args.jobs);
+    for out in &outputs {
+        perf.phases.extend(out.phases.iter().cloned());
+    }
+    // Per-pool-worker rows (wall-clock observability; records/cycles
+    // here duplicate the per-run rows, so rate gates must filter by
+    // phase id).
+    perf.phases.extend(pool_rows);
+    (outputs, perf)
+}
+
+/// The `--from-trace` path: load a saved trace (no simulation, nothing
+/// to parallelize) and re-analyze it through the driver's report tail.
+/// The perf summary opens with a `load/<tag>` row. A saved trace has
+/// no lock spans, so `--causal-out` is dropped with a warning.
+fn run_from_trace(path: &Path, args: &mut Args) -> (Vec<ReportOutput>, PerfSummary) {
     let mut perf = PerfSummary::new("reports", 1);
     let load_started = Instant::now();
     let mut f = fs::File::open(path).unwrap_or_else(|e| {
@@ -423,154 +461,33 @@ fn emit_from_trace(path: &PathBuf, args: &Args, started: Instant) {
         );
         std::process::exit(1);
     });
-    let tag = art.tag();
-    let window = art.measure_end - art.measure_start;
     perf.phases.push(PhaseStats {
-        id: format!("load/{tag}"),
+        id: format!("load/{}", art.tag()),
         wall_s: load_started.elapsed().as_secs_f64(),
         records: art.trace_records,
         ..PhaseStats::default()
     });
     eprintln!(
-        "loaded {} records ({}, window {window} cycles)",
+        "loaded {} records ({}, window {} cycles)",
         art.trace.len(),
         art.workload,
+        art.measure_end - art.measure_start,
     );
-    // The sweeps run inline, as on a live run: the render reads their
-    // points and no miss stream is kept.
-    let t = PhaseTimer::start(format!("analyze/{tag}"));
-    let (an, layers) = analyze_timed(
-        &art,
-        AnalyzeOptions {
-            online_sweeps: true,
-            keep_streams: false,
-            provenance: args.provenance_out.is_some(),
-            hotlines: args.hotlines_out.is_some(),
-            hotlines_top: args.hotlines_top,
-        },
-    );
-    t.stop(&mut perf, window, art.trace_records);
-    perf.phases.extend(layers.rows().into_iter().map(|mut p| {
-        p.id = p.id.replacen('/', &format!("/{tag}/"), 1);
-        p
-    }));
-    let t = PhaseTimer::start(format!("render/{tag}"));
-    println!("{}", render_all(&art, &an));
-    if let Some(dir) = &args.csv_dir {
-        let tag = art.workload.label().to_lowercase();
-        let write = |name: &str, data: String| {
-            write_file(&dir.join(format!("{tag}_{name}.csv")), data.as_bytes());
-        };
-        write("fig3", csv::fig3_csv(&an));
-        write("fig5", csv::fig5_csv(&an));
-        write(
-            "fig6",
-            csv::fig6_csv(&an.figure6_points(art.machine_config.num_cpus as usize)),
-        );
-        write("fig8", csv::fig8_csv(&an));
-        write("fig9", csv::fig9_csv(&an));
-        write("table12", csv::table12_csv(&art));
-    }
-    if args.causal_out.is_some() {
+    if args.causal_out.take().is_some() {
         // The lock spans the wait-for graph is built from come from the
         // kernel-side probes of a live run; a saved trace has none.
         eprintln!("warning: --causal-out needs a live run, ignored with --from-trace");
     }
-    let want_any = args.trace_json.is_some()
-        || args.metrics_out.is_some()
-        || args.provenance_out.is_some()
-        || args.hotlines_out.is_some();
-    if want_any {
-        // Rebuild what the monitor stream alone can support: the
-        // timeline decoder and the analyzer metrics. Kernel-side probes
-        // (lock spin/hold, scheduler counters) need a live run — the
-        // sync bus the locks ride is invisible to the saved trace — so
-        // the provenance export lacks the `exhibit.sync.*` keys here.
-        // Likewise the fabric totals in the hot-line export stay zero:
-        // the saved trace has no interconnect counters.
-        let mut obs = obs_from_artifacts(&art, &an);
-        let provenance = args
-            .provenance_out
-            .is_some()
-            .then(|| provenance_metrics(&an, None));
-        let hotlines = an.hotlines.as_deref().map(|h| {
-            Box::new(oscar_core::observe::HotlineExport {
-                analysis: h.clone(),
-                invals_sent: art.interconnect.invals_sent,
-                sharer_churn: art.interconnect.sharer_churn,
-                window_cycles: an.window_cycles,
-            })
-        });
-        if let Some(h) = &hotlines {
-            oscar_core::observe::add_hotline_metrics(&mut obs.metrics, h);
-            oscar_core::observe::add_hotline_tracks(&mut obs.timeline, &tag, h);
-        }
-        let out = oscar_core::ReportOutput {
-            kind: art.workload,
-            tag: tag.clone(),
-            report: String::new(),
-            csv: Vec::new(),
-            trace_blob: None,
-            phases: Vec::new(),
-            trace_records: art.trace_records,
-            obs: Some(Box::new(obs)),
-            provenance,
-            hotlines,
-            causal: None,
-        };
-        let outs = [out];
-        if let Some(path) = &args.trace_json {
-            write_file(path, merge_trace_json(&outs).as_bytes());
-        }
-        if let Some(path) = &args.metrics_out {
-            write_file(path, merge_metrics_json(&outs).as_bytes());
-        }
-        if let Some(path) = &args.provenance_out {
-            write_file(path, merge_provenance_json(&outs).as_bytes());
-        }
-        if let Some(path) = &args.hotlines_out {
-            write_file(path, merge_hotlines_json(&outs).as_bytes());
-        }
-    }
-    t.stop(&mut perf, 0, 0);
-    perf.finish(started);
-    eprintln!("{}", perf.human_line());
-    if let Some(path) = &args.perf_out {
-        write_file(path, perf.to_json().as_bytes());
-    }
+    let out = report_from_trace(&art, &request(args, ExperimentConfig::new(art.workload)));
+    perf.phases.extend(out.phases.iter().cloned());
+    (vec![out], perf)
 }
 
-fn report_main(argv: &[String]) {
-    let args = parse_args(argv);
-    let started = Instant::now();
-    if let Some(path) = &args.from_trace {
-        emit_from_trace(path, &args, started);
-        return;
-    }
-
-    let reqs: Vec<ReportRequest> = args
-        .kinds
-        .iter()
-        .flat_map(|&kind| args.machine.configs(kind, args.measure, args.warmup))
-        .map(|config| ReportRequest {
-            config,
-            want_csv: args.csv_dir.is_some(),
-            want_trace: args.save_trace_dir.is_some(),
-            want_obs: args.trace_json.is_some() || args.metrics_out.is_some(),
-            want_provenance: args.provenance_out.is_some(),
-            want_hotlines: args.hotlines_out.is_some(),
-            want_causal: args.causal_out.is_some(),
-            hotlines_top: args.hotlines_top,
-            checkpoint_dir: args.checkpoint_dir.clone(),
-            // Per-stage occupancy rows ride with the perf summary only
-            // (wall-clock data; never in the deterministic exports).
-            stage_stats: args.perf_out.is_some(),
-        })
-        .collect();
-    let (outputs, pool_rows) = run_reports_pooled(reqs, args.jobs);
-
-    let mut perf = PerfSummary::new("reports", args.jobs);
-    for out in &outputs {
+/// Writes what the runs produced, in request order: each report to
+/// stdout, CSVs, saved traces, the merged exports, then the perf
+/// summary. Live and `--from-trace` runs share it.
+fn emit(args: &Args, outputs: &[ReportOutput], mut perf: PerfSummary, started: Instant) {
+    for out in outputs {
         println!("{}", out.report);
         if let Some(dir) = &args.csv_dir {
             for (name, data) in &out.csv {
@@ -582,34 +499,39 @@ fn report_main(argv: &[String]) {
                 write_file(&dir.join(name), blob);
             }
         }
-        perf.phases.extend(out.phases.iter().cloned());
     }
-    // Per-pool-worker rows (wall-clock observability; records/cycles
-    // here duplicate the per-run rows, so rate gates must filter by
-    // phase id).
-    perf.phases.extend(pool_rows);
     // Exports assemble in request order from per-run payloads, so the
     // bytes cannot depend on --jobs.
     if let Some(path) = &args.trace_json {
-        write_file(path, merge_trace_json(&outputs).as_bytes());
+        write_file(path, merge_trace_json(outputs).as_bytes());
     }
     if let Some(path) = &args.metrics_out {
-        write_file(path, merge_metrics_json(&outputs).as_bytes());
+        write_file(path, merge_metrics_json(outputs).as_bytes());
     }
     if let Some(path) = &args.provenance_out {
-        write_file(path, merge_provenance_json(&outputs).as_bytes());
+        write_file(path, merge_provenance_json(outputs).as_bytes());
     }
     if let Some(path) = &args.hotlines_out {
-        write_file(path, merge_hotlines_json(&outputs).as_bytes());
+        write_file(path, merge_hotlines_json(outputs).as_bytes());
     }
     if let Some(path) = &args.causal_out {
-        write_file(path, oscar_core::merge_causal_json(&outputs).as_bytes());
+        write_file(path, merge_causal_json(outputs).as_bytes());
     }
     perf.finish(started);
     eprintln!("{}", perf.human_line());
     if let Some(path) = &args.perf_out {
         write_file(path, perf.to_json().as_bytes());
     }
+}
+
+fn report_main(argv: &[String]) {
+    let mut args = parse_args(argv);
+    let started = Instant::now();
+    let (outputs, perf) = match args.from_trace.clone() {
+        Some(path) => run_from_trace(&path, &mut args),
+        None => run_live(&args),
+    };
+    emit(&args, &outputs, perf, started);
 }
 
 /// `oscar-reports query`: filter/group/aggregate the record stream (or

@@ -3,7 +3,7 @@
 //! byte-identical whatever `--jobs` the driver ran with.
 
 use oscar_core::driver::{run_reports, ReportRequest};
-use oscar_core::observe::{merge_metrics_json, merge_trace_json};
+use oscar_core::observe::{merge_metrics_json, merge_trace_json, TimelineBuilder};
 use oscar_core::pipeline::{run_streaming, StreamOptions};
 use oscar_core::{render_all, ExperimentConfig};
 use oscar_obs::MetricValue;
@@ -129,4 +129,60 @@ fn exports_are_byte_identical_across_jobs() {
     let trace = merge_trace_json(&serial);
     assert!(trace.contains("pmake cpus"));
     assert!(trace.contains("multpgm cpus"));
+}
+
+/// The live timeline is decoded on the analysis thread from the blocks
+/// the pipeline hands the analyzer. It must equal what the same decoder
+/// rebuilds record by record from the run's kept trace: the `trace.*`
+/// metrics, the per-CPU fills, the mode and OS-operation tracks and the
+/// bus counter. A block dropped or fed twice changes all of them.
+#[test]
+fn live_timeline_matches_rebuild_from_kept_trace() {
+    let config = small(WorkloadKind::Multpgm);
+    let (art, _) = run_streaming(
+        &config,
+        &StreamOptions {
+            observe: true,
+            keep_trace: true,
+            chunk_records: 777, // ragged block boundaries
+            ..StreamOptions::default()
+        },
+    );
+    let obs = art.obs.as_ref().expect("obs payload");
+    assert!(!art.trace.is_empty());
+
+    let mut b = TimelineBuilder::new(art.machine_config.num_cpus as usize, art.measure_start);
+    b.push_chunk(&art.trace);
+    let (timeline, metrics, fills) = b.finish(art.measure_end);
+
+    assert_eq!(obs.cpu_fills, fills, "per-CPU fills");
+    let trace_keys = |m: &oscar_obs::Metrics| -> Vec<(String, String)> {
+        m.iter()
+            .filter(|(k, _)| k.starts_with("trace."))
+            .map(|(k, v)| (k.to_string(), format!("{v:?}")))
+            .collect()
+    };
+    let want = trace_keys(&metrics);
+    assert!(want.len() > 5, "the rebuild exports trace.* metrics");
+    assert_eq!(trace_keys(&obs.metrics), want, "trace.* metrics");
+    assert_eq!(obs.metrics.counter("trace.records"), art.trace.len() as u64);
+
+    let tracks = |t: &oscar_obs::Timeline| -> Vec<oscar_obs::timeline::Span> {
+        t.spans()
+            .iter()
+            .filter(|s| s.cat == "mode" || s.cat == "os-op")
+            .cloned()
+            .collect()
+    };
+    let want = tracks(&timeline);
+    assert!(want.iter().any(|s| s.cat == "os-op"), "os-op segments");
+    assert_eq!(tracks(&obs.timeline), want, "mode and os-op tracks");
+    let bus = |t: &oscar_obs::Timeline| -> Vec<oscar_obs::timeline::CounterSample> {
+        t.counter_samples()
+            .iter()
+            .filter(|c| c.name == "bus")
+            .cloned()
+            .collect()
+    };
+    assert_eq!(bus(&obs.timeline), bus(&timeline), "bus counter track");
 }

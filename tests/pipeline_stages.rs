@@ -1,7 +1,7 @@
 //! Byte-identity tests for the single-run pipeline (the simulation
 //! producer overlapped with the analyzer over a bounded channel): every
 //! export must stay bit-exact at any chunk size and with per-stage
-//! occupancy rows on. The SIMD columnar row filter is pinned against
+//! occupancy rows on. The SWAR columnar row filter is pinned against
 //! the scalar predicate the same way.
 
 use oscar_core::driver::{run_reports, ReportRequest};
@@ -26,7 +26,7 @@ fn req(kind: WorkloadKind) -> ReportRequest {
     }
 }
 
-/// Ragged chunk sizes exercise the SIMD kernels' tail lanes (partial
+/// Ragged chunk sizes exercise the SWAR kernel's tail lanes (partial
 /// bitmap words) across every block boundary.
 #[test]
 fn pipelined_streaming_is_identical_at_ragged_chunk_sizes() {
@@ -80,7 +80,7 @@ fn stage_rows_leave_exports_unchanged() {
     assert_eq!(stage_ids, ["stage/pmake/produce", "stage/pmake/analyze"]);
 }
 
-/// The columnar row filter (SIMD pass bitmap) must admit exactly the
+/// The columnar row filter (SWAR pass bitmap) must admit exactly the
 /// rows the scalar predicate admits, at ragged chunk sizes. The oracle
 /// runs unfiltered and applies the predicate row by row.
 #[test]

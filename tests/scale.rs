@@ -3,7 +3,10 @@
 //! checkpoint invalidation, and run determinism on machines larger
 //! than the paper's 4D/340.
 
-use oscar_core::{render_all, run, run_streaming, ExperimentConfig, StreamOptions};
+use oscar_core::{
+    render_all, report_from_trace, run, run_reports, run_streaming, tracefile, ExperimentConfig,
+    ReportRequest, StreamOptions,
+};
 use oscar_machine::{Coherence, MachineConfig};
 use oscar_workloads::WorkloadKind;
 
@@ -162,4 +165,60 @@ fn sweep_tags_are_stable_and_unique() {
     );
     assert!(tags.contains("pmake-c8"));
     assert!(tags.contains("pmake-c64-dir"));
+}
+
+/// A saved trace from a non-default machine re-analyzes through the
+/// same driver call `oscar-reports --from-trace` makes, and its figure
+/// CSVs carry the run's tag and the live run's bytes. (`table12` is
+/// left out: its lock counters come from the kernel, which a saved
+/// trace does not hold.)
+#[test]
+fn offline_reanalysis_writes_the_live_figure_csvs() {
+    let mut config = cfg(WorkloadKind::Multpgm, MachineConfig::scaled(8));
+    config.machine.coherence = Coherence::MesiDir;
+    config.machine.validate().expect("valid machine");
+    let mut req = ReportRequest::new(WorkloadKind::Multpgm, 0, 0);
+    req.config = config;
+    req.want_csv = true;
+    req.want_trace = true;
+    let live = run_reports(vec![req.clone()], 1).remove(0);
+    assert_eq!(live.tag, "multpgm-c8-dir");
+    let (_, blob) = live.trace_blob.as_ref().expect("saved trace");
+    let art = tracefile::load(&mut blob.as_slice()).expect("trace loads");
+
+    let offline = report_from_trace(&art, &req);
+    assert_eq!(offline.tag, live.tag);
+    assert!(
+        offline.trace_blob.is_none(),
+        "a saved trace is not re-saved"
+    );
+    let figures = |csv: &[(String, String)]| -> Vec<(String, String)> {
+        csv.iter()
+            .filter(|(name, _)| !name.ends_with("_table12.csv"))
+            .cloned()
+            .collect()
+    };
+    let want = figures(&live.csv);
+    let names: Vec<&str> = want.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "multpgm-c8-dir_fig3.csv",
+            "multpgm-c8-dir_fig5.csv",
+            "multpgm-c8-dir_fig6.csv",
+            "multpgm-c8-dir_fig8.csv",
+            "multpgm-c8-dir_fig9.csv"
+        ]
+    );
+    assert_eq!(figures(&offline.csv), want);
+    let ids: Vec<&str> = offline.phases.iter().map(|p| p.id.as_str()).collect();
+    assert_eq!(
+        ids,
+        [
+            "analyze/multpgm-c8-dir",
+            "layer/multpgm-c8-dir/classify",
+            "layer/multpgm-c8-dir/resim",
+            "render/multpgm-c8-dir"
+        ]
+    );
 }

@@ -1,16 +1,17 @@
-//! Differential tests for the batched SoA hot path: the production
-//! pipeline pushes records through the analyzer as structure-of-arrays
-//! blocks (`StreamAnalyzer::push_block`), and this file pins it
-//! byte-identical to the retained per-record reference path
-//! (`push_chunk`/`push`) across every export surface the CLI has —
-//! report text, `--metrics-out`, `--trace-json`, `query`,
-//! `--provenance-out` — at `--jobs 1` and `--jobs 4`.
+//! Differential tests for the batched SoA hot path: every run — the
+//! streaming pipeline, `analyze` and `--from-trace` alike — pushes
+//! records through the analyzer as structure-of-arrays blocks
+//! (`StreamAnalyzer::push_block`), and this file pins it byte-identical
+//! to the record-at-a-time reference path (`push_chunk`/`push`) across
+//! every export surface the CLI has — report text, `--metrics-out`,
+//! `--trace-json`, `query`, `--provenance-out` — at `--jobs 1` and
+//! `--jobs 4`.
 
 use oscar_core::analyze::{AnalyzeOptions, StreamAnalyzer, TraceMeta};
 use oscar_core::driver::{run_reports, ReportRequest};
 use oscar_core::observe::{merge_metrics_json, merge_provenance_json, merge_trace_json};
 use oscar_core::query::run_query;
-use oscar_core::{analyze, parallel_map, render_all, run, ExperimentConfig};
+use oscar_core::{parallel_map, render_all, run, ExperimentConfig};
 use oscar_machine::monitor::RecordBlock;
 use oscar_obs::query::QuerySpec;
 use oscar_workloads::WorkloadKind;
@@ -40,13 +41,27 @@ fn analyze_blocked(
     a.finish()
 }
 
+/// The reference: the whole trace through the record-at-a-time entry.
+fn analyze_per_record(
+    art: &oscar_core::RunArtifacts,
+    opts: AnalyzeOptions,
+) -> oscar_core::TraceAnalysis {
+    let mut a = StreamAnalyzer::new(TraceMeta::of(art), opts);
+    a.push_chunk(&art.trace);
+    a.finish()
+}
+
 #[test]
 fn block_path_matches_per_record_path_for_report_bytes() {
     for kind in [WorkloadKind::Pmake, WorkloadKind::Multpgm] {
         let art = run(&small(kind));
-        // Reference: the retained per-record path (`analyze` pushes one
-        // record at a time).
-        let reference = render_all(&art, &analyze(&art));
+        let reference = render_all(&art, &analyze_per_record(&art, AnalyzeOptions::default()));
+        // `analyze` is the block path too.
+        assert_eq!(
+            render_all(&art, &oscar_core::analyze(&art)),
+            reference,
+            "{kind:?}: analyze must render the per-record report"
+        );
         // Ragged block capacities so block boundaries land everywhere,
         // including mid-burst.
         for cap in [1usize, 777, 4096] {
