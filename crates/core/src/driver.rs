@@ -315,6 +315,14 @@ fn run_one(req: &ReportRequest) -> ReportOutput {
             ..PhaseStats::default()
         });
     }
+    if let Some(c) = art.checkpoint {
+        phases.push(PhaseStats {
+            id: format!("checkpoint/{tag}"),
+            wall_s: (c.capture_us + c.restore_us) as f64 / 1e6,
+            checkpoint: Some(c),
+            ..PhaseStats::default()
+        });
+    }
     report_tail(req, tag, &art, &an, obs, phases, Instant::now())
 }
 

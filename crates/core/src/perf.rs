@@ -21,6 +21,8 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use oscar_os::StepClass;
+
 /// One timed phase of a run (a workload simulation, an analysis pass, a
 /// render, ...).
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -52,6 +54,9 @@ pub struct PhaseStats {
     /// rows only): deterministic step counts, so a silent fall-back to
     /// one step at a time shows as zero private steps.
     pub sim: Option<oscar_os::EngineStats>,
+    /// Checkpoint-cache traffic and the wall-clock cost of capturing
+    /// and restoring snapshots (`checkpoint/<tag>` rows only).
+    pub checkpoint: Option<crate::checkpoint::CheckpointStats>,
 }
 
 impl PhaseStats {
@@ -102,16 +107,17 @@ impl PerfSummary {
     }
 
     /// Phases that uniquely own their records/cycles. `pool/worker/*`,
-    /// `stage/*`, `layer/*` and `sim/*` rows re-account work the
-    /// `simulate+analyze/*` rows already carry, and a `load/*` row
-    /// the records its `analyze/*` row analyzes, so summing them would
-    /// double-count (and inflate the human throughput line).
+    /// `stage/*`, `layer/*`, `sim/*` and `checkpoint/*` rows re-account
+    /// work the `simulate+analyze/*` rows already carry, and a `load/*`
+    /// row the records its `analyze/*` row analyzes, so summing them
+    /// would double-count (and inflate the human throughput line).
     fn owning_phases(&self) -> impl Iterator<Item = &PhaseStats> {
         self.phases.iter().filter(|p| {
             !(p.id.starts_with("pool/")
                 || p.id.starts_with("stage/")
                 || p.id.starts_with("layer/")
                 || p.id.starts_with("sim/")
+                || p.id.starts_with("checkpoint/")
                 || p.id.starts_with("load/"))
         })
     }
@@ -171,7 +177,27 @@ impl PerfSummary {
                 let _ = write!(
                     s,
                     ", \"shared_steps\": {}, \"private_steps\": {}, \"private_batches\": {}, \"catch_ups\": {}",
-                    e.shared_steps, e.private_steps, e.private_batches, e.catch_ups
+                    e.shared_steps(),
+                    e.private_steps(),
+                    e.private_batches,
+                    e.catch_ups
+                );
+                for (key, counts) in [
+                    ("shared_by_class", &e.shared),
+                    ("private_by_class", &e.private),
+                ] {
+                    let _ = write!(s, ", \"{key}\": {{");
+                    for (k, (label, n)) in StepClass::LABELS.iter().zip(counts).enumerate() {
+                        let _ = write!(s, "{}\"{label}\": {n}", if k == 0 { "" } else { ", " });
+                    }
+                    s.push('}');
+                }
+            }
+            if let Some(c) = &p.checkpoint {
+                let _ = write!(
+                    s,
+                    ", \"hits\": {}, \"misses\": {}, \"capture_us\": {}, \"restore_us\": {}",
+                    c.hits, c.misses, c.capture_us, c.restore_us
                 );
             }
             s.push('}');

@@ -151,7 +151,7 @@ impl StageAcc {
                 .then(|| self.depth_sum as f64 / self.depth_samples as f64),
             stall_s: None,
             starve_s: Some(self.starve.as_secs_f64()),
-            sim: None,
+            ..PhaseStats::default()
         }
     }
 }
@@ -461,8 +461,7 @@ fn run_streaming_inner(
                 chan_depth_max: None,
                 chan_depth_mean: None,
                 stall_s: Some(cell.stall_s()),
-                starve_s: None,
-                sim: None,
+                ..PhaseStats::default()
             });
             if let Some(acc) = &an_acc {
                 art.stage_phases.push(acc.row("stage/analyze".into()));

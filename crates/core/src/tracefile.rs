@@ -23,7 +23,9 @@ use crate::experiment::RunArtifacts;
 // TR2: each record carries a sub-block offset byte after the address.
 // TR3: the header carries the coherence backend and directory bank
 // count, so a trace from a directory machine keeps its run tag.
-const MAGIC: &[u8; 8] = b"OSCARTR3";
+// TR4: the header carries each cache's size and associativity, so a
+// trace re-analyzes against the caches it was recorded on.
+const MAGIC: &[u8; 8] = b"OSCARTR4";
 
 fn kind_code(k: BusKind) -> u8 {
     match k {
@@ -168,6 +170,10 @@ pub fn save(art: &RunArtifacts, w: &mut impl Write) -> io::Result<()> {
         },
     )?;
     write_u64(w, u64::from(m.dir_banks))?;
+    for cache in [&m.icache, &m.l1d, &m.l2d] {
+        write_u64(w, cache.size_bytes)?;
+        write_u64(w, u64::from(cache.assoc))?;
+    }
     // Layout recipe: the routine link order as u16 indices into Rid::ALL.
     let order = art.layout.order();
     write_u64(w, order.len() as u64)?;
@@ -228,6 +234,17 @@ pub fn load(r: &mut impl Read) -> io::Result<RunArtifacts> {
     machine_config.coherence = coherence_from(read_u64(r)?)?;
     machine_config.dir_banks =
         u16::try_from(read_u64(r)?).map_err(|_| invalid("dir_banks out of range".into()))?;
+    for cache in [
+        &mut machine_config.icache,
+        &mut machine_config.l1d,
+        &mut machine_config.l2d,
+    ] {
+        cache.size_bytes = read_u64(r)?;
+        cache.assoc =
+            u32::try_from(read_u64(r)?).map_err(|_| invalid("cache assoc out of range".into()))?;
+    }
+    // Validation bounds the cache sizes before the analyzer allocates
+    // mirrors of them.
     machine_config
         .validate()
         .map_err(|e| invalid(format!("bad machine: {e}")))?;
@@ -328,13 +345,14 @@ mod tests {
     /// Byte offset of header field `i` (the `u64`s after the magic, in
     /// `save` order: num_cpus, clusters, remote_fill_extra,
     /// memory_bytes, replicas, measure_start, measure_end, workload,
-    /// coherence, dir_banks, routine count).
+    /// coherence, dir_banks, then size and associativity of the
+    /// I-cache, L1 and L2, and the routine count).
     fn field(i: usize) -> usize {
         MAGIC.len() + 8 * i
     }
 
     /// The `u64` header fields before the routine indices.
-    const HEADER_FIELDS: usize = 11;
+    const HEADER_FIELDS: usize = 17;
 
     /// Each malformed file used to abort the analyzer or report a
     /// nonsense window; each must now fail to load with `InvalidData`.
@@ -554,5 +572,41 @@ mod tests {
         let loaded = load(&mut saved(&art).as_slice()).expect("load");
         assert_same(&art, &loaded);
         assert_eq!(loaded.tag(), "pmake-c4-dir");
+    }
+
+    /// Every cache's geometry round-trips, so the offline mirrors match
+    /// the caches the trace was recorded on.
+    #[test]
+    fn cache_geometry_round_trips() {
+        let mut art = with_records(3);
+        art.machine_config.icache.size_bytes = 16 * 1024;
+        art.machine_config.l1d.size_bytes = 32 * 1024;
+        art.machine_config.l2d.size_bytes = 512 * 1024;
+        art.machine_config.l2d.assoc = 2;
+        let loaded = load(&mut saved(&art).as_slice()).expect("load");
+        assert_same(&art, &loaded);
+        assert_eq!(loaded.tag(), "pmake-c4");
+    }
+
+    /// A header naming an enormous cache is refused before the analyzer
+    /// could allocate a mirror of it.
+    #[test]
+    fn oversized_cache_header_is_invalid_data() {
+        let buf = saved(&with_records(3));
+        for (what, at) in [
+            ("icache", field(10)),
+            ("l1d", field(12)),
+            ("l2d", field(14)),
+        ] {
+            let mut bad = buf.clone();
+            bad[at..at + 8].copy_from_slice(&(1u64 << 50).to_le_bytes());
+            let err = load(&mut bad.as_slice()).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+            assert!(err.to_string().contains(what), "{what}: {err}");
+        }
+        let mut bad = buf.clone();
+        bad[field(11)..field(12)].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        let err = load(&mut bad.as_slice()).expect_err("assoc 2^40");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     }
 }

@@ -128,6 +128,15 @@ impl CacheConfig {
 /// streams store them as `u32`).
 pub const MAX_MEMORY_BYTES: u64 = 1 << 36;
 
+/// The largest cache of one CPU: 16 MiB, 64 times the 4D/340's L2.
+/// The analyzer mirrors every cache it is given, so a configuration
+/// read from a trace header must not name a larger one.
+pub const MAX_CACHE_BYTES: u64 = 16 << 20;
+
+/// The largest total of every CPU's caches: 256 MiB (64 CPUs with
+/// 4 MiB of cache each), which bounds the mirrors' memory.
+pub const MAX_MACHINE_CACHE_BYTES: u64 = 256 << 20;
+
 /// Full machine configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
@@ -279,6 +288,12 @@ impl MachineConfig {
             ("l1d", &self.l1d),
             ("l2d", &self.l2d),
         ] {
+            if cache.size_bytes > MAX_CACHE_BYTES {
+                return Err(format!(
+                    "{name}: {} bytes exceeds the {MAX_CACHE_BYTES}-byte cache limit",
+                    cache.size_bytes
+                ));
+            }
             cache
                 .checked_num_sets()
                 .map_err(|e| format!("{name}: {e}"))?;
@@ -289,6 +304,14 @@ impl MachineConfig {
                     cache.block_bytes
                 ));
             }
+        }
+        let per_cpu = self.icache.size_bytes + self.l1d.size_bytes + self.l2d.size_bytes;
+        if per_cpu * self.num_cpus as u64 > MAX_MACHINE_CACHE_BYTES {
+            return Err(format!(
+                "{} CPUs with {per_cpu} bytes of cache each exceed the \
+                 {MAX_MACHINE_CACHE_BYTES}-byte machine cache limit",
+                self.num_cpus
+            ));
         }
         if self.l1d.size_bytes > self.l2d.size_bytes {
             return Err(format!(
@@ -449,6 +472,14 @@ mod tests {
             "directory bank",
         );
         reject(&|c| c.icache.size_bytes = 100, "icache");
+        reject(&|c| c.l2d.size_bytes = 1 << 40, "l2d");
+        reject(
+            &|c| {
+                c.num_cpus = 255;
+                c.l2d.size_bytes = 4 << 20;
+            },
+            "machine cache limit",
+        );
     }
 
     #[test]

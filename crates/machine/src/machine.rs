@@ -307,6 +307,9 @@ pub struct Machine {
     /// Whether the straight-line ifetch memo is safe (direct-mapped
     /// I-cache; see [`CpuCore::last_ifetch`]).
     ifetch_memo: bool,
+    /// Whether a data read that hits L1 changes no cache state
+    /// (direct-mapped L1 and L2; see [`Machine::read_hits`]).
+    read_hit_noop: bool,
 }
 
 impl Machine {
@@ -359,6 +362,7 @@ impl Machine {
             page_home,
             sharers: SharerDir::new(config.num_cpus),
             ifetch_memo: config.icache.assoc == 1,
+            read_hit_noop: config.l1d.assoc == 1 && config.l2d.assoc == 1,
             config,
         }
     }
@@ -554,6 +558,29 @@ impl Machine {
     /// so a run of hits can be charged in one [`Machine::fetch_hits`].
     pub fn ifetch_memo(&self) -> bool {
         self.ifetch_memo
+    }
+
+    /// Charges `n` one-cycle data reads of `block` that all hit in
+    /// `cpu`'s L1: exactly what the run of [`Machine::data_access`]
+    /// reads would do (a direct-mapped hit in L1 and L2 changes no cache
+    /// state), in one call. Only valid while [`Machine::read_hit_noop`]
+    /// holds and `block` is resident in L1.
+    pub fn read_hits(&mut self, cpu: CpuId, block: BlockAddr, n: u64) {
+        debug_assert!(
+            self.read_hit_noop,
+            "batched read hits need direct-mapped data caches"
+        );
+        debug_assert!(self.l1_probe(cpu, block), "batched read of a missing block");
+        let core = &mut self.cpus[cpu.index()];
+        core.now += n;
+        core.counters.base_cycles += n;
+    }
+
+    /// Whether a data read that hits L1 is a state no-op (direct-mapped
+    /// L1 and L2), so a run of such reads can be charged in one
+    /// [`Machine::read_hits`].
+    pub fn read_hit_noop(&self) -> bool {
+        self.read_hit_noop
     }
 
     /// Performs a data access of one word at `paddr`, charging
@@ -812,6 +839,11 @@ impl Machine {
     /// assertions and classifier cross-checks).
     pub fn l2_probe(&self, cpu: CpuId, block: BlockAddr) -> bool {
         self.cpus[cpu.index()].l2d.probe(block)
+    }
+
+    /// Whether `block` is resident in `cpu`'s L1 data cache.
+    pub fn l1_probe(&self, cpu: CpuId, block: BlockAddr) -> bool {
+        self.cpus[cpu.index()].l1d.probe(block)
     }
 
     /// Whether `block` is resident in `cpu`'s I-cache.

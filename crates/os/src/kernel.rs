@@ -575,7 +575,21 @@ impl OsWorld {
 
     /// Enqueues a process on the queue of its last CPU's cluster (or
     /// round-robin for fresh processes). Returns the queue index used.
-    pub(crate) fn enqueue_proc(&mut self, slot: ProcSlot) -> usize {
+    pub(crate) fn enqueue_proc(&mut self, m: &mut Machine, slot: ProcSlot) -> usize {
+        if self.runqs.iter().all(RunQueue::is_empty) {
+            // Hook: idle CPUs poll privately only while every queue is
+            // empty, so the enqueue that ends that catches them up.
+            self.catch_up_others(m);
+            for c in 0..self.num_cpus {
+                self.assert_caught_up(m, CpuId(c), "run-queue enqueue");
+            }
+        }
+        self.enqueue(slot)
+    }
+
+    /// [`OsWorld::enqueue_proc`] without the catch-up hook, for boot-time
+    /// spawns (outside [`OsWorld::run_until`]).
+    fn enqueue(&mut self, slot: ProcSlot) -> usize {
         let idx = if self.runqs.len() <= 1 {
             0
         } else {
@@ -649,7 +663,7 @@ impl OsWorld {
             .procs
             .spawn(task, None, self.tuning.quantum_ticks, self.tuning.seed)
             .expect("process table full at boot");
-        self.enqueue_proc(slot);
+        self.enqueue(slot);
         slot
     }
 
@@ -707,6 +721,35 @@ impl OsWorld {
         }
     }
 
+    /// Where `cpu` fetches kernel text at `paddr`: the cluster-local
+    /// replica when text replication is on.
+    pub(crate) fn text_addr(&self, cpu: CpuId, paddr: PAddr) -> PAddr {
+        if self.tuning.replicate_os_text {
+            self.layout.replicate_text_addr(paddr, self.cluster_of(cpu))
+        } else {
+            paddr
+        }
+    }
+
+    /// The idle loop's fetch on `cpu`: its address and instruction
+    /// count.
+    pub(crate) fn idle_fetch(&self, cpu: CpuId) -> (PAddr, u32) {
+        let (base, len) = self.layout.routine_range(Rid::IdleLoop);
+        (self.text_addr(cpu, base), (len / 4).clamp(1, 8))
+    }
+
+    /// Hook for a kernel data write at `addr`: a write to the run-queue
+    /// block invalidates every other CPU's copy, which idle polls read
+    /// privately, so it catches the other CPUs up first.
+    fn note_data_write(&mut self, m: &mut Machine, addr: u64) {
+        if PAddr::new(addr).block() == self.layout.run_queue().block() {
+            self.catch_up_others(m);
+            for c in 0..self.num_cpus {
+                self.assert_caught_up(m, CpuId(c), "run-queue write");
+            }
+        }
+    }
+
     /// An instruction-fetch window over a whole routine.
     pub(crate) fn win(&self, rid: Rid) -> KOp {
         let (base, len) = self.layout.routine_range(rid);
@@ -754,16 +797,10 @@ impl OsWorld {
         }
 
         let mode = self.current_mode(cpu);
-        if self.cpus[i].dispatch.is_some() {
-            self.run_frame(m, cpu, FrameLoc::Dispatch);
-        } else if !self.cpus[i].intr_stack.is_empty() {
-            self.run_frame(m, cpu, FrameLoc::Intr);
+        if let Some(loc) = self.kernel_frame(cpu) {
+            self.run_frame(m, cpu, loc);
         } else if let Some(slot) = self.cpus[i].running {
-            if self.procs.get(slot).is_some_and(|p| p.in_kernel()) {
-                self.run_frame(m, cpu, FrameLoc::Proc(slot));
-            } else {
-                self.step_user(m, cpu, slot);
-            }
+            self.step_user(m, cpu, slot);
         } else {
             self.step_idle(m, cpu);
         }
@@ -781,17 +818,30 @@ impl OsWorld {
         self.procs.live() > 0
     }
 
+    /// The kernel frame `cpu`'s next step runs, if any: its dispatch
+    /// frame, else its top interrupt frame, else the running process's
+    /// kernel stack.
+    pub(crate) fn kernel_frame(&self, cpu: CpuId) -> Option<FrameLoc> {
+        let ctx = &self.cpus[cpu.index()];
+        if ctx.dispatch.is_some() {
+            Some(FrameLoc::Dispatch)
+        } else if !ctx.intr_stack.is_empty() {
+            Some(FrameLoc::Intr)
+        } else {
+            let slot = ctx.running?;
+            self.procs
+                .get(slot)?
+                .in_kernel()
+                .then_some(FrameLoc::Proc(slot))
+        }
+    }
+
     /// Mode the upcoming step executes in (for cycle accounting).
     fn current_mode(&self, cpu: CpuId) -> Mode {
-        let ctx = &self.cpus[cpu.index()];
-        if ctx.dispatch.is_some() || !ctx.intr_stack.is_empty() {
+        if self.kernel_frame(cpu).is_some() {
             Mode::Kernel
-        } else if let Some(slot) = ctx.running {
-            if self.procs.get(slot).is_some_and(|p| p.in_kernel()) {
-                Mode::Kernel
-            } else {
-                Mode::User
-            }
+        } else if self.cpus[cpu.index()].running.is_some() {
+            Mode::User
         } else {
             Mode::Idle
         }
@@ -878,13 +928,7 @@ impl OsWorld {
                 let block_end = (cur | (BLOCK_SIZE - 1)) + 1;
                 let stop = block_end.min(end);
                 let instrs = ((stop - cur) / 4).max(1) as u32;
-                let fetch_addr = if self.tuning.replicate_os_text {
-                    self.layout
-                        .replicate_text_addr(PAddr::new(cur), self.cluster_of(cpu))
-                } else {
-                    PAddr::new(cur)
-                };
-                let out = m.fetch(cpu, fetch_addr, instrs);
+                let out = m.fetch(cpu, self.text_addr(cpu, PAddr::new(cur)), instrs);
                 self.account_miss(mode, true, out.missed_to_bus());
                 if stop < end {
                     self.frame_mut(cpu, loc)
@@ -893,6 +937,9 @@ impl OsWorld {
                 }
             }
             KOp::Data { addr, write } => {
+                if write {
+                    self.note_data_write(m, addr);
+                }
                 let out = m.data_access(cpu, PAddr::new(addr), write, 1);
                 self.account_miss(mode, false, out.missed_to_bus() || out.upgraded);
             }
@@ -902,6 +949,9 @@ impl OsWorld {
                 stride,
                 write,
             } => {
+                if write {
+                    self.note_data_write(m, cur);
+                }
                 let out = m.data_access(cpu, PAddr::new(cur), write, 1);
                 self.account_miss(mode, false, out.missed_to_bus() || out.upgraded);
                 let next = sweep_step(cur, stride);
@@ -962,7 +1012,7 @@ impl OsWorld {
                     // Sleep locks may be released on a different CPU
                     // than they were acquired on (the holder slept).
                     self.locks.release_any(id, cpu, now);
-                    let ops = self.wakeup_ops(Chan::InoWait(id.instance));
+                    let ops = self.wakeup_ops(m, Chan::InoWait(id.instance));
                     if !ops.is_empty() {
                         self.frame_mut(cpu, loc).push_front_ops(ops);
                     }
@@ -981,7 +1031,7 @@ impl OsWorld {
         }
     }
 
-    fn peek_frame(&self, cpu: CpuId, loc: FrameLoc) -> Option<&KFrame> {
+    pub(crate) fn peek_frame(&self, cpu: CpuId, loc: FrameLoc) -> Option<&KFrame> {
         match loc {
             FrameLoc::Dispatch => self.cpus[cpu.index()].dispatch.as_ref(),
             FrameLoc::Intr => self.cpus[cpu.index()].intr_stack.last(),
@@ -1028,15 +1078,7 @@ impl OsWorld {
     /// idle.
     fn settle(&mut self, m: &mut Machine, cpu: CpuId) {
         let i = cpu.index();
-        let os_active = {
-            let ctx = &self.cpus[i];
-            ctx.dispatch.is_some()
-                || !ctx.intr_stack.is_empty()
-                || ctx
-                    .running
-                    .and_then(|s| self.procs.get(s))
-                    .is_some_and(|p| p.in_kernel())
-        };
+        let os_active = self.kernel_frame(cpu).is_some();
         if self.cpus[i].in_os && !os_active {
             self.cpus[i].in_os = false;
             self.emit(m, cpu, OsEvent::ExitOs);
@@ -1101,13 +1143,8 @@ impl OsWorld {
     /// One idle-loop iteration: fetch the loop, poll the run queue,
     /// dispatch if work appeared.
     fn step_idle(&mut self, m: &mut Machine, cpu: CpuId) {
-        let (base, len) = self.layout.routine_range(Rid::IdleLoop);
-        let base = if self.tuning.replicate_os_text {
-            self.layout.replicate_text_addr(base, self.cluster_of(cpu))
-        } else {
-            base
-        };
-        let out = m.fetch(cpu, base, (len / 4).clamp(1, 8));
+        let (addr, instrs) = self.idle_fetch(cpu);
+        let out = m.fetch(cpu, addr, instrs);
         self.account_miss(Mode::Idle, true, out.missed_to_bus());
         let out = m.data_access(cpu, self.layout.run_queue(), false, 1);
         self.account_miss(Mode::Idle, false, out.missed_to_bus());

@@ -54,7 +54,7 @@ pub mod types;
 pub mod user;
 pub mod vm;
 
-pub use engine::EngineStats;
+pub use engine::{EngineStats, StepClass, NUM_STEP_CLASSES};
 pub use exec::NUM_KOP_KINDS;
 pub use instrument::{opcode_label, BlockOpKind, OsEvent, NUM_OPCODES};
 pub use kernel::{KernelObsReport, KernelProbes, OsTuning, OsWorld};

@@ -788,7 +788,7 @@ impl OsWorld {
     // ----- context switching ---------------------------------------
 
     /// Builds and installs the dispatch frame for a context switch.
-    pub(crate) fn do_swtch(&mut self, _m: &mut Machine, cpu: CpuId, disp: Disposition) {
+    pub(crate) fn do_swtch(&mut self, m: &mut Machine, cpu: CpuId, disp: Disposition) {
         let i = cpu.index();
         let old = self.cpus[i].running;
         let mut ops = vec![
@@ -808,7 +808,7 @@ impl OsWorld {
                     if let Some(p) = self.procs.get_mut(oslot) {
                         p.state = ProcState::Ready;
                     }
-                    self.enqueue_proc(oslot);
+                    self.enqueue_proc(m, oslot);
                     requeue_target = Some(oslot);
                 }
                 Disposition::Sleep(chan) => {
@@ -848,7 +848,7 @@ impl OsWorld {
 
     /// Wakes all sleepers of `chan`, returning the `setrq` memory ops
     /// the waker executes.
-    pub(crate) fn wakeup_ops(&mut self, chan: Chan) -> Vec<KOp> {
+    pub(crate) fn wakeup_ops(&mut self, m: &mut Machine, chan: Chan) -> Vec<KOp> {
         let sleepers = self.procs.sleepers(chan);
         if sleepers.is_empty() {
             return Vec::new();
@@ -858,7 +858,7 @@ impl OsWorld {
             if let Some(p) = self.procs.get_mut(s) {
                 p.state = ProcState::Ready;
             }
-            let q = self.enqueue_proc(s);
+            let q = self.enqueue_proc(m, s);
             ops.push(KOp::Lock(runqlk(q)));
             ops.extend(self.setrq_body_ops(s));
             ops.push(KOp::Unlock(runqlk(q)));
@@ -952,12 +952,14 @@ impl OsWorld {
                 } else {
                     *v += delta as i64;
                     if delta > 0 {
-                        let ops = self.wakeup_ops(Chan::Sem(sem));
+                        let ops = self.wakeup_ops(m, Chan::Sem(sem));
                         self.frame_mut(cpu, loc).push_front_ops(ops);
                     }
                 }
             }
-            KCall::PipeXfer { pipe, bytes, write } => self.pipe_xfer(cpu, loc, pipe, bytes, write),
+            KCall::PipeXfer { pipe, bytes, write } => {
+                self.pipe_xfer(m, cpu, loc, pipe, bytes, write)
+            }
             KCall::NapArm { ticks } => {
                 let slot = self.cpus[cpu.index()].running.expect("process running");
                 let pid = self.procs.get(slot).unwrap().pid;
@@ -978,7 +980,7 @@ impl OsWorld {
                 ];
                 self.frame_mut(cpu, loc).push_front_ops(ops);
             }
-            KCall::ClockTick => self.clock_tick(cpu, loc),
+            KCall::ClockTick => self.clock_tick(m, cpu, loc),
             KCall::SchedCpuScan => {
                 let live = self.procs.live().max(1) as u64;
                 let span = (live * sizes::PROC_ENTRY).min(sizes::NPROC * sizes::PROC_ENTRY);
@@ -1347,7 +1349,7 @@ impl OsWorld {
         ops
     }
 
-    fn fork_child(&mut self, _m: &mut Machine, cpu: CpuId, loc: FrameLoc) {
+    fn fork_child(&mut self, m: &mut Machine, cpu: CpuId, loc: FrameLoc) {
         let parent = self.cpus[cpu.index()].running.expect("process running");
         let Some(child_task) = self
             .procs
@@ -1401,7 +1403,7 @@ impl OsWorld {
         }
         self.procs.get(parent).unwrap().debug_assert_cow_count();
         self.procs.get(child).unwrap().debug_assert_cow_count();
-        let child_q = self.enqueue_proc(child);
+        let child_q = self.enqueue_proc(m, child);
         self.stats.forks += 1;
 
         let mut ops = vec![KOp::sweep(
@@ -1571,7 +1573,7 @@ impl OsWorld {
         if let Some(ps) = parent {
             if let Some(p) = self.procs.get_mut(ps) {
                 p.zombie_children += 1;
-                ops.extend(self.wakeup_ops(Chan::Child(ps)));
+                ops.extend(self.wakeup_ops(m, Chan::Child(ps)));
             }
         }
         self.frame_mut(cpu, loc).push_front_ops(ops);
@@ -1606,7 +1608,15 @@ impl OsWorld {
         }
     }
 
-    fn pipe_xfer(&mut self, cpu: CpuId, loc: FrameLoc, pipe: usize, bytes: u32, write: bool) {
+    fn pipe_xfer(
+        &mut self,
+        m: &mut Machine,
+        cpu: CpuId,
+        loc: FrameLoc,
+        pipe: usize,
+        bytes: u32,
+        write: bool,
+    ) {
         let slot = self.cpus[cpu.index()].running.expect("process running");
         let cap = PAGE_SIZE as u32;
         let level = self.pipes[pipe];
@@ -1627,7 +1637,7 @@ impl OsWorld {
                 self.layout.pipe_buf(pipe).add(level as u64),
                 bytes as u64,
             );
-            ops.extend(self.wakeup_ops(Chan::PipeData(pipe)));
+            ops.extend(self.wakeup_ops(m, Chan::PipeData(pipe)));
             self.frame_mut(cpu, loc).push_front_ops(ops);
         } else {
             if level == 0 {
@@ -1643,12 +1653,12 @@ impl OsWorld {
             self.pipes[pipe] = level - take;
             let dst = self.user_io_buffer(slot, 0);
             let mut ops = self.bcopy_ops(self.layout.pipe_buf(pipe), dst, take as u64);
-            ops.extend(self.wakeup_ops(Chan::PipeSpace(pipe)));
+            ops.extend(self.wakeup_ops(m, Chan::PipeSpace(pipe)));
             self.frame_mut(cpu, loc).push_front_ops(ops);
         }
     }
 
-    fn clock_tick(&mut self, cpu: CpuId, loc: FrameLoc) {
+    fn clock_tick(&mut self, m: &mut Machine, cpu: CpuId, loc: FrameLoc) {
         // Quantum accounting for the interrupted process.
         if let Some(slot) = self.cpus[cpu.index()].running {
             if let Some(p) = self.procs.get_mut(slot) {
@@ -1685,7 +1695,7 @@ impl OsWorld {
         ];
         for chan in due {
             ops.push(KOp::write(self.layout.callout().add(8)));
-            ops.extend(self.wakeup_ops(chan));
+            ops.extend(self.wakeup_ops(m, chan));
         }
         ops.push(KOp::Unlock(CALOCK));
         if tick.is_multiple_of(self.tuning.schedcpu_ticks) && tick > 0 {
@@ -1712,7 +1722,7 @@ impl OsWorld {
         }
         // Readers of the block and synchronous writers both sleep on
         // the buffer channel.
-        ops.extend(self.wakeup_ops(Chan::Buf(req.buf)));
+        ops.extend(self.wakeup_ops(m, Chan::Buf(req.buf)));
         self.frame_mut(cpu, loc).push_front_ops(ops);
     }
 }

@@ -1,7 +1,10 @@
 //! The warm-up checkpoint cache: snapshot/resume bit-exactness,
 //! hit/miss/invalidation behaviour, and corrupted cache files.
 
-use oscar_core::{render_all, run_streaming, ExperimentConfig, PreparedRun, StreamOptions};
+use oscar_core::{
+    merge_metrics_json, render_all, run_reports, run_streaming, ExperimentConfig, PreparedRun,
+    ReportRequest, StreamOptions,
+};
 use oscar_machine::snap::{SnapReader, SnapWriter};
 use oscar_workloads::WorkloadKind;
 
@@ -150,5 +153,43 @@ fn corrupted_warmup_snapshot_is_a_miss_with_identical_report() {
     let (warm, _) = run_streaming(&config, &opts);
     assert_eq!(warm.checkpoint.expect("stats").hits, 1);
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--metrics-out` is deterministic with a checkpoint directory: two
+/// warm runs write byte-identical metrics, with the cache traffic in
+/// them and the wall-clock capture/restore costs only in the
+/// `checkpoint/<tag>` perf row.
+#[test]
+fn warm_runs_write_identical_metrics() {
+    let dir = scratch_dir("metrics");
+    let config = cfg();
+    let req = || {
+        let mut req = ReportRequest::new(WorkloadKind::Pmake, 0, 0);
+        req.config = config.clone();
+        req.want_obs = true;
+        req.checkpoint_dir = Some(dir.clone());
+        req
+    };
+    let cold = run_reports(vec![req()], 1);
+    let warm: Vec<_> = (0..2).map(|_| run_reports(vec![req()], 1)).collect();
+    let text = merge_metrics_json(&warm[0]);
+    assert_eq!(text, merge_metrics_json(&warm[1]));
+    assert!(text.contains("\"pmake.checkpoint.hits\""), "{text}");
+    assert!(!text.contains("_us\""), "no wall-clock keys in the metrics");
+    assert_ne!(
+        merge_metrics_json(&cold),
+        text,
+        "the cold run misses instead"
+    );
+    for (out, hits) in [(&cold[0], 0), (&warm[0][0], 1)] {
+        let row = out
+            .phases
+            .iter()
+            .find(|p| p.id == "checkpoint/pmake")
+            .expect("a checkpoint row per run");
+        let stats = row.checkpoint.expect("the row carries the cache stats");
+        assert_eq!((stats.hits, stats.misses), (hits, 1 - hits));
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -11,7 +11,7 @@ use oscar_core::{run_reports, ExperimentConfig, PreparedRun, ReportRequest};
 use oscar_machine::addr::CpuId;
 use oscar_machine::snap::{SnapReader, SnapWriter};
 use oscar_machine::{Coherence, MachineConfig};
-use oscar_os::EngineStats;
+use oscar_os::{EngineStats, StepClass};
 use oscar_workloads::WorkloadKind;
 
 /// Runs the reference loop until every clock passes `horizon`;
@@ -59,9 +59,15 @@ fn window_start(prep: &PreparedRun) -> u64 {
         .unwrap_or(0)
 }
 
-fn arm(prep: &mut PreparedRun) {
+/// Arms the monitor at the window start and, with `probes`, the
+/// kernel probes.
+fn arm(prep: &mut PreparedRun, probes: bool) {
     prep.machine.monitor_mut().set_enabled(true);
     prep.os.emit_trace_start(&mut prep.machine);
+    if probes {
+        let start = window_start(prep);
+        prep.os.enable_obs(start);
+    }
 }
 
 fn fingerprint(prep: &PreparedRun) -> Vec<u8> {
@@ -95,6 +101,13 @@ fn observables(prep: &PreparedRun) -> Vec<String> {
 /// Drives both sides through the configuration's warm-up and window and
 /// asserts they agree on everything. Returns the engine's counts.
 fn differential(config: &ExperimentConfig, drive: Drive) -> EngineStats {
+    differential_with(config, drive, false)
+}
+
+/// [`differential`], with the kernel probes on over the window when
+/// `probes` is set: their counters, run-queue and lock profiles must
+/// agree too.
+fn differential_with(config: &ExperimentConfig, drive: Drive, probes: bool) -> EngineStats {
     let mut reference = PreparedRun::new(config, config.build_workload());
     let mut engine = PreparedRun::new(config, config.build_workload());
 
@@ -108,8 +121,8 @@ fn differential(config: &ExperimentConfig, drive: Drive) -> EngineStats {
         "warm-up ends at the same cycle"
     );
 
-    arm(&mut reference);
-    arm(&mut engine);
+    arm(&mut reference, probes);
+    arm(&mut engine, probes);
     let end = start + config.measure_cycles;
     let ref_steps = reference_until(&mut reference, end);
     let window = match drive {
@@ -128,6 +141,7 @@ fn differential(config: &ExperimentConfig, drive: Drive) -> EngineStats {
             let frozen = fingerprint(&engine);
             let mut r = SnapReader::new(&frozen);
             engine = PreparedRun::restore_snapshot(config, &mut r).expect("restore");
+            assert!(!probes, "a restored world starts with probes off");
             stats.add(&engine_until(&mut engine, &[end]));
             stats
         }
@@ -143,6 +157,13 @@ fn differential(config: &ExperimentConfig, drive: Drive) -> EngineStats {
     let (a, b) = (observables(&reference), observables(&engine));
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x, y, "{}", config.tag());
+    }
+    if probes {
+        let obs = |prep: &mut PreparedRun| {
+            let end = window_start(prep);
+            format!("{:?}", prep.os.take_obs(end).expect("probes were on"))
+        };
+        assert_eq!(obs(&mut reference), obs(&mut engine), "{}", config.tag());
     }
     let (ra, rb) = (
         reference.machine.monitor_mut().dump(),
@@ -186,8 +207,8 @@ const KINDS: [WorkloadKind; 3] = [
 fn default_machine_matches_reference_for_every_workload() {
     for kind in KINDS {
         let s = differential(&steady(kind, 3_000_000), Drive::Straight);
-        assert!(s.private_steps > 0, "{kind:?}: no step was batched");
-        assert!(s.private_batches > 0 && s.shared_steps > 0);
+        assert!(s.private_steps() > 0, "{kind:?}: no step was batched");
+        assert!(s.private_batches > 0 && s.shared_steps() > 0);
     }
 }
 
@@ -203,7 +224,7 @@ fn every_machine_size_and_backend_matches_reference() {
                 .cpus(cpus)
                 .coherence(coherence)
                 .scaled_workload(true);
-            batched += differential(&config, Drive::Straight).private_steps;
+            batched += differential(&config, Drive::Straight).private_steps();
         }
     }
     assert!(batched > 0, "no step of the sweep was batched");
@@ -258,20 +279,95 @@ fn process_exit_window_matches_reference() {
     assert!(s.catch_ups > 0, "a hook must have caught a CPU up");
 }
 
-/// A 2-way I-cache hit updates LRU state, so loop fetches cannot be
-/// batched; only compute chunks are, and the run stays exact.
+/// A 2-way I-cache hit updates LRU state, so neither user loop
+/// fetches, kernel fetches nor idle polls can be batched; only compute
+/// chunks are, and the run stays exact. A 2-way L1 or L2 read hit does
+/// too, so there idle polls stay shared while fetches still batch.
 #[test]
 fn two_way_icache_falls_back_to_per_step_fetches() {
+    let fetches = [
+        StepClass::Idle,
+        StepClass::KernelFetch,
+        StepClass::UserFetch,
+    ];
     let mut config = steady(WorkloadKind::Pmake, 2_000_000);
     config.machine.icache.assoc = 2;
-    differential(&config, Drive::Straight);
+    let s = differential(&config, Drive::Straight);
+    for class in fetches {
+        assert_eq!(s.private[class as usize], 0, "{class:?} batched");
+        assert!(s.shared[class as usize] > 0, "{class:?} never ran");
+    }
+    for two_way in [
+        |c: &mut ExperimentConfig| c.machine.l1d.assoc = 2,
+        |c: &mut ExperimentConfig| c.machine.l2d.assoc = 2,
+    ] {
+        let mut config = steady(WorkloadKind::Pmake, 2_000_000);
+        two_way(&mut config);
+        let s = differential(&config, Drive::Straight);
+        let idle = StepClass::Idle as usize;
+        assert_eq!(s.private[idle], 0, "idle polls batched");
+        assert!(s.shared[idle] > 0, "no idle poll ran");
+        assert!(s.private[StepClass::KernelFetch as usize] > 0);
+    }
+}
+
+/// The boot phase is idle-heavy: most CPUs poll empty run queues while
+/// the first processes fork and exec. A window from cycle 0 (the
+/// warm-up itself) batches idle polls at every machine size, on both
+/// backends, and every enqueue and run-queue write catches the pollers
+/// up.
+#[test]
+fn idle_heavy_boot_window_matches_reference() {
+    for cpus in [1u8, 2, 4, 16, 64] {
+        for coherence in [Coherence::Snoop, Coherence::MesiDir] {
+            let scale = (cpus as u64).max(4) / 4;
+            let config = small(WorkloadKind::Pmake, 0, 3_000_000 / scale)
+                .cpus(cpus)
+                .coherence(coherence)
+                .scaled_workload(true);
+            let s = differential(&config, Drive::Straight);
+            let idle = StepClass::Idle as usize;
+            assert!(
+                s.private[idle] > 0,
+                "{}: no idle poll was batched",
+                config.tag()
+            );
+            // At 64 CPUs the window is too short for a hook to find
+            // a poller with steps pending.
+            if (2..=16).contains(&cpus) {
+                assert!(s.catch_ups > 0, "{}: no hook caught a CPU up", config.tag());
+            }
+        }
+    }
+}
+
+/// Kernel fetch runs with the kernel probes on (their fetch counts are
+/// applied in bulk) and with the kernel text replicated per cluster
+/// (the fetch address depends on the CPU).
+#[test]
+fn kernel_fetch_runs_match_reference_with_probes_and_replicated_text() {
+    let kfetch = StepClass::KernelFetch as usize;
+    for kind in KINDS {
+        let s = differential_with(&steady(kind, 2_000_000), Drive::Straight, true);
+        assert!(
+            s.private[kfetch] > 0,
+            "{kind:?}: no kernel fetch was batched"
+        );
+    }
+    let config = small(WorkloadKind::Pmake, 2_000_000, 2_000_000).clustered(8, 2, 40);
+    assert!(config.tuning.replicate_os_text);
+    let s = differential_with(&config, Drive::Chained(5), true);
+    assert!(
+        s.private[kfetch] > 0,
+        "no replicated-text fetch was batched"
+    );
 }
 
 #[test]
 fn chained_horizons_match_reference() {
     for kind in [WorkloadKind::Pmake, WorkloadKind::Oracle] {
         let s = differential(&steady(kind, 3_000_000), Drive::Chained(7));
-        assert!(s.private_steps > 0, "{kind:?}: no step was batched");
+        assert!(s.private_steps() > 0, "{kind:?}: no step was batched");
     }
 }
 
@@ -279,7 +375,7 @@ fn chained_horizons_match_reference() {
 fn snapshot_restore_mid_window_matches_reference() {
     for kind in [WorkloadKind::Pmake, WorkloadKind::Multpgm] {
         let s = differential(&steady(kind, 3_000_000), Drive::Restored);
-        assert!(s.private_steps > 0, "{kind:?}: no step was batched");
+        assert!(s.private_steps() > 0, "{kind:?}: no step was batched");
     }
     // Machines past the paper's: the thaw restores 8 CPUs' state on
     // the bus and, on the 16-CPU directory, the home banks too.
@@ -324,12 +420,24 @@ fn sim_rows_count_every_window_step_at_any_jobs() {
     assert_eq!(serial, sims(3), "engine counts must not depend on --jobs");
 
     for (&kind, sim) in KINDS.iter().zip(&serial) {
-        assert!(sim.private_steps > 0, "{kind:?}: no step was batched");
+        assert!(sim.private_steps() > 0, "{kind:?}: no step was batched");
+        let batched = |class: StepClass| sim.private[class as usize];
+        assert!(
+            batched(StepClass::KernelFetch) > 0,
+            "{kind:?}: no kernel fetch was batched"
+        );
+        // Pmake's steady window never idles: it runs no poll at all.
+        if kind != WorkloadKind::Pmake {
+            assert!(
+                batched(StepClass::Idle) > 0,
+                "{kind:?}: no idle poll was batched"
+            );
+        }
         let config = steady(kind, 3_000_000);
         let mut reference = PreparedRun::new(&config, config.build_workload());
         reference_until(&mut reference, config.warmup_cycles);
         let end = window_start(&reference) + config.measure_cycles;
-        arm(&mut reference);
+        arm(&mut reference, false);
         assert_eq!(
             sim.total_steps(),
             reference_until(&mut reference, end),

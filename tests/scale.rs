@@ -172,6 +172,15 @@ fn sweep_tags_are_stable_and_unique() {
 /// CSVs carry the run's tag and the live run's bytes. (`table12` is
 /// left out: its lock counters come from the kernel, which a saved
 /// trace does not hold.)
+/// A run's CSVs but `table12`, whose lock counters come from the
+/// kernel, which a saved trace does not hold.
+fn figures(csv: &[(String, String)]) -> Vec<(String, String)> {
+    csv.iter()
+        .filter(|(name, _)| !name.ends_with("_table12.csv"))
+        .cloned()
+        .collect()
+}
+
 #[test]
 fn offline_reanalysis_writes_the_live_figure_csvs() {
     let mut config = cfg(WorkloadKind::Multpgm, MachineConfig::scaled(8));
@@ -192,12 +201,6 @@ fn offline_reanalysis_writes_the_live_figure_csvs() {
         offline.trace_blob.is_none(),
         "a saved trace is not re-saved"
     );
-    let figures = |csv: &[(String, String)]| -> Vec<(String, String)> {
-        csv.iter()
-            .filter(|(name, _)| !name.ends_with("_table12.csv"))
-            .cloned()
-            .collect()
-    };
     let want = figures(&live.csv);
     let names: Vec<&str> = want.iter().map(|(n, _)| n.as_str()).collect();
     assert_eq!(
@@ -221,4 +224,47 @@ fn offline_reanalysis_writes_the_live_figure_csvs() {
             "render/multpgm-c8-dir"
         ]
     );
+}
+
+/// The report lines from `title` up to the next exhibit heading.
+fn section<'a>(report: &'a str, title: &str) -> Vec<&'a str> {
+    let mut lines = report.lines().skip_while(|l| !l.starts_with(title));
+    let head = lines.next().expect("the report has the section");
+    std::iter::once(head)
+        .chain(lines.take_while(|l| !l.starts_with("Figure ") && !l.starts_with("Table ")))
+        .collect()
+}
+
+/// A saved trace keeps the cache geometry it was recorded on
+/// (`pmake 4000000 4000000 --icache-kb 16 --save-trace`): re-analyzed,
+/// it gives the live run's Figure 4 and 5 and writes the live run's
+/// CSV names and bytes.
+#[test]
+fn offline_reanalysis_keeps_the_cache_geometry() {
+    let mut config = ExperimentConfig::new(WorkloadKind::Pmake)
+        .warmup(4_000_000)
+        .measure(4_000_000);
+    config.machine.icache.size_bytes = 16 * 1024;
+    let mut req = ReportRequest::new(WorkloadKind::Pmake, 0, 0);
+    req.config = config;
+    req.want_csv = true;
+    req.want_trace = true;
+    let live = run_reports(vec![req.clone()], 1).remove(0);
+    assert_eq!(live.tag, "pmake-c4");
+    let (_, blob) = live.trace_blob.as_ref().expect("saved trace");
+    let art = tracefile::load(&mut blob.as_slice()).expect("trace loads");
+    assert_eq!(art.machine_config, req.config.machine);
+
+    let offline = report_from_trace(&art, &req);
+    assert_eq!(offline.tag, live.tag);
+    for title in ["Figure 4 ", "Figure 5 "] {
+        assert_eq!(
+            section(&offline.report, title),
+            section(&live.report, title),
+            "{title}"
+        );
+    }
+    let want = figures(&live.csv);
+    assert!(want.iter().all(|(name, _)| name.starts_with("pmake-c4_")));
+    assert_eq!(figures(&offline.csv), want);
 }
