@@ -29,10 +29,10 @@ use oscar_os::user::segs;
 use oscar_os::{AttrCtx, KernelRegion, Layout, Mode, OpClass, OsEvent, Rid};
 
 use crate::classify::{ArchClass, IdCounts, Mirror};
-use crate::decode::{Decoded, Decoder};
+use crate::decode::{CpuState, Decoded, Decoder};
 use crate::experiment::RunArtifacts;
-use crate::fasthash::FastMap;
 use crate::histogram::Histogram;
+use crate::observe::TimelineBuilder;
 use crate::perf::PhaseStats;
 use crate::resim::{DResimPoint, DSweep, ISweep, ResimPoint};
 
@@ -419,12 +419,10 @@ struct Inv {
 struct CpuAn {
     mode: Mode,
     last_time: u64,
-    in_os: bool,
-    in_idle: bool,
+    /// Mode, pid and open operations, as the events drive them (the
+    /// attached timeline reads it too).
+    state: CpuState,
     cycles: ModeCycles,
-    cur_pid: u32,
-    class_stack: Vec<OpClass>,
-    saved_stacks: FastMap<u32, Vec<OpClass>>,
     last_class: OpClass,
     ctx_stack: Vec<AttrCtx>,
     epoch: u64,
@@ -443,12 +441,8 @@ impl CpuAn {
         CpuAn {
             mode: Mode::User,
             last_time: start,
-            in_os: false,
-            in_idle: false,
+            state: CpuState::default(),
             cycles: ModeCycles::default(),
-            cur_pid: u32::MAX,
-            class_stack: Vec::new(),
-            saved_stacks: FastMap::default(),
             last_class: OpClass::OtherSyscall,
             ctx_stack: Vec::new(),
             epoch: 0,
@@ -473,18 +467,8 @@ impl CpuAn {
         self.mode = mode;
     }
 
-    fn effective_mode(&self) -> Mode {
-        if self.in_os {
-            Mode::Kernel
-        } else if self.in_idle {
-            Mode::Idle
-        } else {
-            Mode::User
-        }
-    }
-
     fn top_class(&self) -> OpClass {
-        self.class_stack.last().copied().unwrap_or(self.last_class)
+        self.state.top().unwrap_or(self.last_class)
     }
 }
 
@@ -566,7 +550,7 @@ pub fn analyze(art: &RunArtifacts) -> TraceAnalysis {
 ///
 /// Panics if the machine's caches are not direct-mapped.
 pub fn analyze_with(art: &RunArtifacts, opts: AnalyzeOptions) -> TraceAnalysis {
-    analyze_timed(art, opts).0
+    analyze_timed(art, opts, None).0
 }
 
 /// Records per [`StreamAnalyzer::push_block`] in [`analyze_timed`]: the
@@ -576,13 +560,22 @@ pub fn analyze_with(art: &RunArtifacts, opts: AnalyzeOptions) -> TraceAnalysis {
 const ANALYZE_BLOCK: usize = 4096;
 
 /// [`analyze_with`], also returning the wall-clock split of the
-/// analysis into its classify and re-simulation layers.
+/// analysis into its classify and re-simulation layers. A `timeline`
+/// is attached to the pass ([`StreamAnalyzer::set_timeline`]) and
+/// returned with it.
 ///
 /// # Panics
 ///
 /// Panics if the machine's caches are not direct-mapped.
-pub fn analyze_timed(art: &RunArtifacts, opts: AnalyzeOptions) -> (TraceAnalysis, LayerTimes) {
+pub fn analyze_timed(
+    art: &RunArtifacts,
+    opts: AnalyzeOptions,
+    timeline: Option<TimelineBuilder>,
+) -> (TraceAnalysis, LayerTimes, Option<TimelineBuilder>) {
     let mut a = StreamAnalyzer::new(TraceMeta::of(art), opts);
+    if let Some(tl) = timeline {
+        a.set_timeline(tl);
+    }
     let mut block = RecordBlock::with_capacity(ANALYZE_BLOCK);
     for chunk in art.trace.chunks(ANALYZE_BLOCK) {
         block.clear();
@@ -592,7 +585,8 @@ pub fn analyze_timed(art: &RunArtifacts, opts: AnalyzeOptions) -> (TraceAnalysis
         a.push_block(&block);
     }
     let layers = a.layer_times();
-    (a.finish(), layers)
+    let timeline = a.take_timeline();
+    (a.finish(), layers, timeline)
 }
 
 /// Wall-clock split of the analyzer's block entries
@@ -766,6 +760,8 @@ pub struct StreamAnalyzer {
     kind_scan: crate::classify::KindScan,
     /// Enriched-row consumer, when a query is attached.
     row_sink: Option<RowSink>,
+    /// Timeline fed from this analyzer's decode, when one is attached.
+    timeline: Option<Box<TimelineBuilder>>,
     /// Wall-clock split of the block entries.
     layers: LayerTimes,
     /// Per-block contention tracker, when
@@ -822,6 +818,7 @@ impl StreamAnalyzer {
             row_idx: 0,
             kind_scan: crate::classify::KindScan::default(),
             row_sink: None,
+            timeline: None,
             layers: LayerTimes::default(),
             hotline,
             out: TraceAnalysis {
@@ -880,6 +877,23 @@ impl StreamAnalyzer {
         self.row_sink = Some(sink);
     }
 
+    /// Attaches a timeline: it counts the records of every block fed
+    /// through [`StreamAnalyzer::push_block`] from now on, and after
+    /// each decoded event it reads the CPU's new state to extend the
+    /// mode and OS-operation tracks. Never affects the analysis.
+    pub fn set_timeline(&mut self, timeline: TimelineBuilder) {
+        self.timeline = Some(Box::new(timeline));
+    }
+
+    /// Detaches the timeline attached with
+    /// [`StreamAnalyzer::set_timeline`], ready for
+    /// [`TimelineBuilder::finish`].
+    pub fn take_timeline(&mut self) -> Option<TimelineBuilder> {
+        let mut tl = self.timeline.take()?;
+        tl.undecodable = self.decoder.undecodable;
+        Some(*tl)
+    }
+
     /// Offers one enriched row to the sink, applying the pushdown
     /// filter first. No-op without a sink.
     fn emit_row(
@@ -923,7 +937,7 @@ impl StreamAnalyzer {
             self.out.escapes += 1;
             if self.row_sink.is_some() {
                 let ca = &self.cpus[rec.cpu.index()];
-                let mode = ca.effective_mode();
+                let mode = ca.state.mode();
                 let op = (mode == Mode::Kernel).then(|| ca.top_class());
                 self.emit_row(&rec, mode, false, None, op, None);
             }
@@ -954,6 +968,9 @@ impl StreamAnalyzer {
     /// the escape decoder's per-CPU state machine to the rare
     /// instrumentation reads.
     pub fn push_block(&mut self, block: &RecordBlock) {
+        if let Some(tl) = self.timeline.as_deref_mut() {
+            tl.count_block(block);
+        }
         let started = Instant::now();
         if self.row_sink.is_some() {
             self.push_block_rows(block);
@@ -1085,7 +1102,7 @@ impl StreamAnalyzer {
         // Close out mode integrals and dangling spans.
         let end = self.meta.measure_end;
         for (i, ca) in self.cpus.iter_mut().enumerate() {
-            ca.set_mode(end, ca.effective_mode());
+            ca.set_mode(end, ca.state.mode());
             self.out.cpu_cycles[i] = ca.cycles;
         }
         self.finish_spans();
@@ -1134,7 +1151,7 @@ impl StreamAnalyzer {
                 self.out.writebacks += 1;
                 if self.row_sink.is_some() {
                     let ca = &self.cpus[rec.cpu.index()];
-                    let mode = ca.effective_mode();
+                    let mode = ca.state.mode();
                     let op = (mode == Mode::Kernel).then(|| ca.top_class());
                     let region = Some(self.meta.layout.classify(rec.paddr));
                     self.emit_row(&rec, mode, false, None, op, region);
@@ -1162,13 +1179,15 @@ impl StreamAnalyzer {
         }
     }
 
+    /// Folds one event into the statistics, which read the CPU's state
+    /// from before the event, then applies the event's transition and
+    /// shows the new state to the attached timeline.
     fn handle_event(&mut self, t: u64, i: usize, ev: OsEvent) {
         match ev {
-            OsEvent::TraceStart => {}
+            OsEvent::TraceStart | OsEvent::OpEnd | OsEvent::PidChange { .. } => {}
             OsEvent::EnterOs(class) => {
                 let ca = &mut self.cpus[i];
-                if !ca.in_os {
-                    ca.in_os = true;
+                if ca.state.mode() != Mode::Kernel {
                     ca.set_mode(t, Mode::Kernel);
                     // A non-UTLB operation ends the application span.
                     if class != OpClass::UtlbFault && ca.span_active {
@@ -1194,16 +1213,14 @@ impl StreamAnalyzer {
                 } else if let Some(inv) = &mut ca.inv {
                     inv.non_utlb |= class != OpClass::UtlbFault;
                 }
-                ca.class_stack.push(class);
                 ca.last_class = class;
                 self.out.ops_seen[class.code() as usize] += 1;
             }
             OsEvent::OpReclass(class) => {
                 let ca = &mut self.cpus[i];
-                if let Some(top) = ca.class_stack.last_mut() {
+                if let Some(top) = ca.state.top() {
                     self.out.ops_seen[top.code() as usize] =
                         self.out.ops_seen[top.code() as usize].saturating_sub(1);
-                    *top = class;
                     self.out.ops_seen[class.code() as usize] += 1;
                 }
                 ca.last_class = class;
@@ -1211,14 +1228,9 @@ impl StreamAnalyzer {
                     inv.non_utlb |= class != OpClass::UtlbFault;
                 }
             }
-            OsEvent::OpEnd => {
-                let ca = &mut self.cpus[i];
-                ca.class_stack.pop();
-            }
             OsEvent::ExitOs => {
                 let ca = &mut self.cpus[i];
-                ca.in_os = false;
-                let to_idle = ca.in_idle;
+                let to_idle = ca.state.in_idle();
                 ca.set_mode(t, if to_idle { Mode::Idle } else { Mode::User });
                 if let Some(inv) = ca.inv.take() {
                     let cycles = t.saturating_sub(inv.start);
@@ -1246,27 +1258,14 @@ impl StreamAnalyzer {
             }
             OsEvent::EnterIdle => {
                 let ca = &mut self.cpus[i];
-                ca.in_idle = true;
-                if !ca.in_os {
+                if ca.state.mode() != Mode::Kernel {
                     ca.set_mode(t, Mode::Idle);
                 }
                 ca.span_active = false;
             }
-            OsEvent::ExitIdle => {
-                let ca = &mut self.cpus[i];
-                ca.in_idle = false;
-                // The dispatcher runs next (kernel work without its own
-                // operation marker).
-                ca.in_os = true;
-                ca.set_mode(t, Mode::Kernel);
-            }
-            OsEvent::PidChange { pid } => {
-                let ca = &mut self.cpus[i];
-                let old = std::mem::take(&mut ca.class_stack);
-                ca.saved_stacks.insert(ca.cur_pid, old);
-                ca.class_stack = ca.saved_stacks.remove(&pid).unwrap_or_default();
-                ca.cur_pid = pid;
-            }
+            // The dispatcher runs next (kernel work without its own
+            // operation marker).
+            OsEvent::ExitIdle => self.cpus[i].set_mode(t, Mode::Kernel),
             OsEvent::TlbSet { vpn, ppn, .. } => {
                 let p = ppn as usize;
                 if p >= self.ppn_vpn.len() {
@@ -1297,6 +1296,11 @@ impl StreamAnalyzer {
                 self.out.block_op_sizes[k][s] += 1;
             }
         }
+        let state = &mut self.cpus[i].state;
+        state.apply(ev);
+        if let Some(tl) = self.timeline.as_deref_mut() {
+            tl.on_event(t, i, ev, state);
+        }
     }
 
     fn is_instr(&self, i: usize, rec: &BusRecord, write: bool) -> bool {
@@ -1308,7 +1312,7 @@ impl StreamAnalyzer {
             KernelRegion::Text => true,
             KernelRegion::FramePool => match self.ppn_vpn.get(rec.paddr.page().0 as usize) {
                 Some(&vpn) if vpn != u32::MAX => {
-                    segs::is_text(Vpn(vpn)) && self.cpus[i].effective_mode() == Mode::User
+                    segs::is_text(Vpn(vpn)) && self.cpus[i].state.mode() == Mode::User
                 }
                 _ => false,
             },
@@ -1320,7 +1324,7 @@ impl StreamAnalyzer {
         let i = rec.cpu.index();
         let instr = self.is_instr(i, &rec, write);
         let block = rec.paddr.block();
-        let mode = self.cpus[i].effective_mode();
+        let mode = self.cpus[i].state.mode();
         let os_fill = mode != Mode::User;
 
         // --- Class-independent accounting ---

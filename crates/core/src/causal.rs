@@ -382,24 +382,27 @@ pub fn merge_causal_json(outputs: &[ReportOutput]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze::analyze;
-    use crate::experiment::{run, ExperimentConfig};
-    use crate::observe::obs_from_artifacts;
+    use crate::experiment::ExperimentConfig;
+    use crate::pipeline::{run_streaming, StreamOptions};
     use oscar_workloads::WorkloadKind;
 
-    fn artifacts() -> (RunArtifacts, TraceAnalysis) {
+    /// An observed run; its [`RunObs`] is taken out of the artifacts.
+    fn artifacts() -> (RunArtifacts, TraceAnalysis, RunObs) {
         let cfg = ExperimentConfig::new(WorkloadKind::Pmake)
             .warmup(200_000)
             .measure(600_000);
-        let art = run(&cfg);
-        let an = analyze(&art);
-        (art, an)
+        let opts = StreamOptions {
+            observe: true,
+            ..StreamOptions::default()
+        };
+        let (mut art, an) = run_streaming(&cfg, &opts);
+        let obs = *art.obs.take().expect("observed run");
+        (art, an, obs)
     }
 
     #[test]
     fn input_segments_cover_the_window() {
-        let (art, an) = artifacts();
-        let obs = obs_from_artifacts(&art, &an);
+        let (art, _, obs) = artifacts();
         let input = build_causal_input(&art, &obs);
         assert_eq!(input.window_cycles, art.measure_end - art.measure_start);
         assert_eq!(input.cpus, art.machine_config.num_cpus as usize);
@@ -416,8 +419,7 @@ mod tests {
 
     #[test]
     fn metrics_and_section_render() {
-        let (art, an) = artifacts();
-        let obs = obs_from_artifacts(&art, &an);
+        let (art, an, obs) = artifacts();
         let a = causal_for_run(&art, &an, &obs);
         let mut m = Metrics::new();
         add_causal_metrics(&mut m, &a);

@@ -6,11 +6,17 @@
 //! the next N uncached odd-address reads *by the same CPU* carry the
 //! payload values. Cache misses interleaved with an escape sequence are
 //! reads of even addresses and cannot be confused with it.
+//!
+//! [`CpuState`] is what the decoded events drive on each CPU: the
+//! user/OS/idle mode, the running pid and the open operation classes.
+//! The analyzer owns one per CPU, and the timeline reads that same copy
+//! when it is fed by the analyzer.
 
 use oscar_machine::addr::CpuId;
+use oscar_machine::fasthash::FastMap;
 use oscar_machine::monitor::BusRecord;
 use oscar_machine::BusKind;
-use oscar_os::OsEvent;
+use oscar_os::{Mode, OpClass, OsEvent};
 
 /// One decoded trace item.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -126,17 +132,96 @@ impl Decoder {
         });
         None
     }
+}
 
-    /// Decodes a whole trace.
-    pub fn decode_all(num_cpus: usize, trace: &[BusRecord]) -> (Vec<Decoded>, u64) {
-        let mut d = Decoder::new(num_cpus);
-        let mut out = Vec::with_capacity(trace.len());
-        for &rec in trace {
-            if let Some(item) = d.push(rec) {
-                out.push(item);
-            }
+/// One CPU's mode and operation state as the escape events drive it:
+/// the OS and idle flags, the running pid, the open operation classes
+/// (innermost last) and the class stacks of the pids switched away
+/// from.
+#[derive(Debug, Clone)]
+pub struct CpuState {
+    in_os: bool,
+    in_idle: bool,
+    pid: u32,
+    stack: Vec<OpClass>,
+    saved: FastMap<u32, Vec<OpClass>>,
+}
+
+impl Default for CpuState {
+    /// User mode under the idle pid (`u32::MAX`), so the classes a CPU
+    /// opened before the window's first `PidChange { pid: u32::MAX }`
+    /// are still open after it.
+    fn default() -> Self {
+        CpuState {
+            in_os: false,
+            in_idle: false,
+            pid: u32::MAX,
+            stack: Vec::new(),
+            saved: FastMap::default(),
         }
-        (out, d.undecodable)
+    }
+}
+
+impl CpuState {
+    /// Applies one decoded event's mode, operation and pid transition.
+    pub fn apply(&mut self, ev: OsEvent) {
+        match ev {
+            OsEvent::EnterOs(class) => {
+                self.in_os = true;
+                self.stack.push(class);
+            }
+            OsEvent::OpReclass(class) => {
+                if let Some(top) = self.stack.last_mut() {
+                    *top = class;
+                }
+            }
+            OsEvent::OpEnd => {
+                self.stack.pop();
+            }
+            // The class stack survives an OS exit: a blocked operation
+            // resumes where it left off.
+            OsEvent::ExitOs => self.in_os = false,
+            OsEvent::EnterIdle => self.in_idle = true,
+            OsEvent::ExitIdle => {
+                // The dispatcher runs next: kernel work without its own
+                // operation marker.
+                self.in_idle = false;
+                self.in_os = true;
+            }
+            OsEvent::PidChange { pid } => {
+                let old = std::mem::take(&mut self.stack);
+                self.saved.insert(self.pid, old);
+                self.stack = self.saved.remove(&pid).unwrap_or_default();
+                self.pid = pid;
+            }
+            OsEvent::TraceStart
+            | OsEvent::TlbSet { .. }
+            | OsEvent::CtxEnter(_)
+            | OsEvent::CtxExit
+            | OsEvent::BlockOp { .. }
+            | OsEvent::IcacheFlush { .. } => {}
+        }
+    }
+
+    /// In the idle loop.
+    pub fn in_idle(&self) -> bool {
+        self.in_idle
+    }
+
+    /// The mode the CPU's references count under.
+    pub fn mode(&self) -> Mode {
+        if self.in_os {
+            Mode::Kernel
+        } else if self.in_idle {
+            Mode::Idle
+        } else {
+            Mode::User
+        }
+    }
+
+    /// The innermost open operation class, if any.
+    pub fn top(&self) -> Option<OpClass> {
+        self.stack.last().copied()
     }
 }
 

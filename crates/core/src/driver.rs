@@ -16,7 +16,7 @@ use oscar_workloads::WorkloadKind;
 
 use crate::analyze::{analyze_timed, AnalyzeOptions, TraceAnalysis};
 use crate::experiment::{ExperimentConfig, RunArtifacts};
-use crate::observe::RunObs;
+use crate::observe::{assemble_run_obs, RunObs, TimelineBuilder};
 use crate::pad::CachePadded;
 use crate::perf::{PerfSummary, PhaseStats, PhaseTimer};
 use crate::pipeline::{run_streaming, StreamOptions};
@@ -170,9 +170,10 @@ pub struct ReportRequest {
     /// Forces the trace to materialize, costing the streaming
     /// pipeline's bounded-memory property for this run.
     pub want_trace: bool,
-    /// Also collect observability: kernel probes, the live timeline
-    /// decoder and the metrics registry ([`crate::observe::RunObs`] in
-    /// the output). Never changes the report bytes.
+    /// Also collect observability: kernel probes, the timeline the
+    /// analyzer feeds from its escape decode, and the metrics registry
+    /// ([`crate::observe::RunObs`] in the output). Never changes the
+    /// report bytes.
     pub want_obs: bool,
     /// Also collect exhibit provenance: per-cell contribution counts
     /// behind the paper-report exhibits, exported as `exhibit.*`
@@ -198,10 +199,11 @@ pub struct ReportRequest {
     /// On-disk snapshot cache directory
     /// ([`StreamOptions::checkpoint_dir`]).
     pub checkpoint_dir: Option<std::path::PathBuf>,
-    /// Collect per-stage occupancy rows
-    /// ([`StreamOptions::stage_stats`]) into [`ReportOutput::phases`]
-    /// as `stage/<tag>/...` entries (wall-clock only, for `--perf-out`;
-    /// never changes any export).
+    /// Report the per-stage occupancy and layer rows every streamed run
+    /// collects ([`RunArtifacts::stage_phases`]) and the engine's step
+    /// counts in [`ReportOutput::phases`], as `stage/<tag>/...`,
+    /// `layer/<tag>/...` and `sim/<tag>` entries (wall-clock only, for
+    /// `--perf-out`; never changes any export).
     pub stage_stats: bool,
 }
 
@@ -281,7 +283,6 @@ fn run_one(req: &ReportRequest) -> ReportOutput {
         hotlines: req.want_hotlines,
         hotlines_top: req.hotlines_top.max(1),
         checkpoint_dir: req.checkpoint_dir.clone(),
-        stage_stats: req.stage_stats,
         ..StreamOptions::default()
     };
     let (mut art, an) = run_streaming(&req.config, &opts);
@@ -292,22 +293,14 @@ fn run_one(req: &ReportRequest) -> ReportOutput {
         req.config.warmup_cycles + req.config.measure_cycles,
         art.trace_records,
     );
-    if let (Some(obs), Some(p)) = (&obs, scratch.phases.last_mut()) {
-        let pl = &obs.pipeline;
-        p.chan_depth_max = Some(pl.depth_max);
-        if pl.depth_samples > 0 {
-            p.chan_depth_mean = Some(pl.depth_sum as f64 / pl.depth_samples as f64);
-        }
-    }
     let mut phases = scratch.phases;
     // Stage stats report each pipeline stage's occupancy and the
     // analyzer's layer split the same way, namespaced under the run's
-    // tag.
-    phases.extend(tagged_rows(std::mem::take(&mut art.stage_phases), &tag));
-    // The engine's step counts ride with the stage rows: deterministic,
-    // but about the simulator, not the simulated machine, so never in
-    // the metrics export.
+    // tag. The engine's step counts ride with them: deterministic, but
+    // about the simulator, not the simulated machine, so never in the
+    // metrics export.
     if req.stage_stats {
+        phases.extend(tagged_rows(std::mem::take(&mut art.stage_phases), &tag));
         phases.push(PhaseStats {
             id: format!("sim/{tag}"),
             cycles: req.config.measure_cycles,
@@ -335,13 +328,16 @@ fn run_one(req: &ReportRequest) -> ReportOutput {
 /// sync and causal exhibits need a live run; `want_causal` is
 /// ignored), no interconnect counters, and `want_trace` is ignored.
 ///
-/// The perf rows are `analyze/<tag>`, `layer/<tag>/{classify,resim}`
-/// and `render/<tag>` (which includes rebuilding the timeline).
+/// The perf rows are `analyze/<tag>` (which includes the timeline the
+/// analysis pass feeds), `layer/<tag>/{classify,resim}` and
+/// `render/<tag>`.
 pub fn report_from_trace(art: &RunArtifacts, req: &ReportRequest) -> ReportOutput {
     let tag = art.tag();
     let mut scratch = PerfSummary::new(&tag, 1);
     let t = PhaseTimer::start(format!("analyze/{tag}"));
-    let (an, layers) = analyze_timed(
+    let timeline = (req.want_obs || req.want_provenance)
+        .then(|| TimelineBuilder::new(art.machine_config.num_cpus as usize, art.measure_start));
+    let (an, layers, timeline) = analyze_timed(
         art,
         AnalyzeOptions {
             online_sweeps: true,
@@ -350,6 +346,7 @@ pub fn report_from_trace(art: &RunArtifacts, req: &ReportRequest) -> ReportOutpu
             hotlines: req.want_hotlines,
             hotlines_top: req.hotlines_top.max(1),
         },
+        timeline,
     );
     t.stop(
         &mut scratch,
@@ -359,8 +356,13 @@ pub fn report_from_trace(art: &RunArtifacts, req: &ReportRequest) -> ReportOutpu
     let mut phases = scratch.phases;
     phases.extend(tagged_rows(layers.rows(), &tag));
     let started = Instant::now();
-    let obs = (req.want_obs || req.want_provenance)
-        .then(|| Box::new(crate::observe::obs_from_artifacts(art, &an)));
+    // A saved trace holds only what the monitor saw: no kernel probes.
+    let obs = timeline.map(|tl| {
+        let (timeline, metrics, cpu_fills) = tl.finish(art.measure_end);
+        Box::new(assemble_run_obs(
+            &tag, timeline, metrics, cpu_fills, art, &an, None,
+        ))
+    });
     let req = ReportRequest {
         want_trace: false,
         want_causal: false,

@@ -187,12 +187,11 @@ pub struct RunArtifacts {
     /// present when the run streamed with
     /// [`crate::pipeline::StreamOptions::observe`] on.
     pub obs: Option<Box<crate::observe::RunObs>>,
-    /// Per-pipeline-stage timing rows (`stage/<name>`) when the run
-    /// streamed with [`crate::pipeline::StreamOptions::stage_stats`]
-    /// on: the producer and the analyzer, each with stall or starve
-    /// seconds and channel-depth samples.
-    /// Wall-clock data, so it feeds the perf summary, never the metrics
-    /// export. Empty otherwise.
+    /// Per-pipeline-stage timing rows (`stage/<name>`) of a streamed
+    /// run: the producer and the analyzer, each with stall or starve
+    /// seconds and channel-depth samples, then the analyzer's
+    /// `layer/<name>` rows. Wall-clock data, so it feeds the perf
+    /// summary, never the metrics export. Empty for a batch run.
     pub stage_phases: Vec<crate::perf::PhaseStats>,
     /// Checkpoint-cache accounting, present when the run was given a
     /// [`crate::pipeline::StreamOptions::checkpoint_dir`].

@@ -45,7 +45,7 @@ pub use hotline::{
 };
 pub use observe::{
     lock_contention_table, merge_metrics_json, merge_provenance_json, merge_trace_json,
-    obs_from_artifacts, provenance_metrics, RunObs, TimelineBuilder,
+    provenance_metrics, RunObs, TimelineBuilder,
 };
 pub use pipeline::{run_streaming, run_streaming_rows, StreamOptions};
 pub use query::{compile, run_query, CompiledQuery, QueryRun};

@@ -1,20 +1,23 @@
-//! Live observability: reconstructing per-CPU timelines from the
-//! monitor stream and assembling the metrics export.
+//! Live observability: per-CPU timelines from the monitor stream and
+//! the metrics export.
 //!
-//! The [`TimelineBuilder`] is a second, independent consumer of the
-//! monitor's bus-record stream: on a live run the streaming pipeline
-//! hands it each block on the analysis thread, right after the
-//! analyzer ([`crate::pipeline`]); offline, [`obs_from_artifacts`]
-//! replays the saved trace through it. It runs its own escape
-//! [`Decoder`] and mirrors the analyzer's mode state machine to
-//! rebuild, per CPU, the user/OS/idle mode track, the operation-class
-//! segments (syscall classes, TLB-fault handling, interrupts), and a
-//! bus-occupancy counter track — everything a trace viewer needs to
-//! *see* the run the paper only reports in aggregate. Kernel-side probe data that
-//! the monitor cannot observe (lock spin/hold intervals ride the
-//! synchronization bus, which is invisible to the trace hardware —
-//! the paper's Section 2.2 point) is grafted on afterwards by
-//! [`assemble_run_obs`] from [`KernelObsReport`].
+//! The [`TimelineBuilder`] reads the run's one escape decode: attached
+//! to the analyzer ([`crate::analyze::StreamAnalyzer::set_timeline`]),
+//! it counts each record block the analyzer takes and, after the analyzer
+//! applies each decoded event, reads that CPU's [`CpuState`] — the
+//! same copy the analyzer attributes misses with. Live runs attach it
+//! on the analysis thread ([`crate::pipeline`]); `--from-trace` attaches
+//! it to the re-analysis pass ([`crate::driver::report_from_trace`]).
+//! From this it rebuilds, per CPU, the user/OS/idle mode track, the
+//! operation-class segments (syscall classes, TLB-fault handling,
+//! interrupts), and a bus-occupancy counter track — everything a trace
+//! viewer needs to *see* the run the paper only reports in aggregate.
+//! [`TimelineBuilder::push_chunk`] runs the same span writer over its
+//! own decoder: the standalone path and the tests' reference.
+//! Kernel-side probe data that the monitor cannot observe (lock
+//! spin/hold intervals ride the synchronization bus, which is invisible
+//! to the trace hardware — the paper's Section 2.2 point) is grafted on
+//! afterwards by [`assemble_run_obs`] from [`KernelObsReport`].
 //!
 //! Everything here is deterministic: timestamps are simulated cycles,
 //! orderings are insertion orderings of a deterministic simulation,
@@ -25,16 +28,17 @@
 
 use std::collections::HashMap;
 
+use oscar_machine::addr::CpuId;
 use oscar_machine::monitor::{BusRecord, RecordBlock};
 use oscar_machine::BusKind;
 use oscar_obs::{Log2Histogram, Metrics, Timeline};
 use oscar_os::{
-    opcode_label, KernelObsReport, LockFamily, LockId, LockObsStats, LockPhase, LockSpan, OpClass,
-    OsEvent, NUM_OPCODES,
+    opcode_label, KernelObsReport, LockFamily, LockId, LockObsStats, LockPhase, LockSpan, Mode,
+    OpClass, OsEvent, NUM_OPCODES,
 };
 
 use crate::analyze::{ExhibitProvenance, TraceAnalysis};
-use crate::decode::{Decoded, Decoder};
+use crate::decode::{CpuState, Decoded, Decoder};
 use crate::driver::ReportOutput;
 use crate::experiment::RunArtifacts;
 use crate::hotline::{HotlineAnalysis, HOTLINE_BUCKETS, HOTLINE_CLASSES};
@@ -62,45 +66,30 @@ const HOTLINE_TRACKS: usize = 8;
 /// by `i * PID_STRIDE`.
 pub const PID_STRIDE: u32 = 8;
 
-#[derive(Debug, Default, Clone)]
-struct CpuTrack {
-    in_os: bool,
-    in_idle: bool,
-    cur_pid: u32,
-    stack: Vec<OpClass>,
-    saved: HashMap<u32, Vec<OpClass>>,
+/// One CPU's open mode and OS-operation spans: the label each track
+/// shows and the window-relative cycle it began.
+#[derive(Debug, Clone)]
+struct SpanTrack {
     mode_label: &'static str,
     mode_since: u64,
     op_label: Option<&'static str>,
     op_since: u64,
 }
 
-impl CpuTrack {
-    fn mode(&self) -> &'static str {
-        if self.in_os {
-            "os"
-        } else if self.in_idle {
-            "idle"
-        } else {
-            "user"
-        }
-    }
-
-    fn op(&self) -> Option<&'static str> {
-        self.in_os
-            .then(|| self.stack.last().map_or("dispatch", |c| c.label()))
-    }
-}
-
 /// Streaming consumer of monitor records that rebuilds per-CPU
-/// timelines and the `trace.*` self-metrics. Feed records in trace
-/// order ([`TimelineBuilder::push_chunk`]), then call
+/// timelines and the `trace.*` self-metrics. Attach it to the run's
+/// analyzer ([`crate::analyze::StreamAnalyzer::set_timeline`]) so it
+/// reads the analyzer's decode, or feed it records itself
+/// ([`TimelineBuilder::push_chunk`]); then call
 /// [`TimelineBuilder::finish`] to close open spans.
 #[derive(Debug)]
 pub struct TimelineBuilder {
-    decoder: Decoder,
+    /// The escape decoder and per-CPU state of the standalone path
+    /// ([`TimelineBuilder::push_chunk`]), made on its first call. A
+    /// builder attached to an analyzer reads the analyzer's instead.
+    own: Option<(Decoder, Vec<CpuState>)>,
     start: u64,
-    cpus: Vec<CpuTrack>,
+    tracks: Vec<SpanTrack>,
     timeline: Timeline,
     /// Records by [`BusKind`]: read, read-ex, upgrade, write-back,
     /// uncached (escape).
@@ -113,6 +102,8 @@ pub struct TimelineBuilder {
     records: u64,
     events: u64,
     escape_by_opcode: [u64; NUM_OPCODES as usize],
+    /// Escape reads that did not decode, as of the last record.
+    pub(crate) undecodable: u64,
     bus_bucket: u64,
     bus: [u64; 4],
     last_time: u64,
@@ -131,12 +122,14 @@ impl TimelineBuilder {
             timeline.set_thread_name(PID_CPUS, base + TRACK_LOCK, format!("cpu{c} locks"));
         }
         TimelineBuilder {
-            decoder: Decoder::new(num_cpus),
+            own: None,
             start: measure_start,
-            cpus: vec![
-                CpuTrack {
+            tracks: vec![
+                SpanTrack {
                     mode_label: "user",
-                    ..CpuTrack::default()
+                    mode_since: 0,
+                    op_label: None,
+                    op_since: 0,
                 };
                 num_cpus
             ],
@@ -146,6 +139,7 @@ impl TimelineBuilder {
             records: 0,
             events: 0,
             escape_by_opcode: [0; NUM_OPCODES as usize],
+            undecodable: 0,
             bus_bucket: 0,
             bus: [0; 4],
             last_time: measure_start,
@@ -173,136 +167,108 @@ impl TimelineBuilder {
         }
     }
 
-    fn count_bus(&mut self, rec: &BusRecord) {
-        let b = self.rel(rec.time) >> BUS_BUCKET_SHIFT;
-        if b != self.bus_bucket {
-            self.flush_bus_bucket();
-            self.bus_bucket = b;
-        }
-        let series = match rec.kind {
-            BusKind::Read => 0,
-            BusKind::ReadEx | BusKind::Upgrade => 1,
-            BusKind::WriteBack => 2,
-            BusKind::UncachedRead => 3,
-        };
-        self.bus[series] += 1;
-    }
-
-    /// Mirrors the analyzer's mode/stack transitions, closing and
-    /// opening timeline segments when the visible state changes.
-    fn handle_event(&mut self, t: u64, cpu: usize, ev: OsEvent) {
-        self.events += 1;
-        let ca = &mut self.cpus[cpu];
-        match ev {
-            OsEvent::TraceStart | OsEvent::TlbSet { .. } => {}
-            OsEvent::EnterOs(class) => {
-                ca.in_os = true;
-                ca.stack.push(class);
-            }
-            OsEvent::OpReclass(class) => {
-                if let Some(top) = ca.stack.last_mut() {
-                    *top = class;
-                }
-            }
-            OsEvent::OpEnd => {
-                ca.stack.pop();
-            }
-            // The class stack survives an OS exit: a blocked operation
-            // resumes where it left off (same convention as the
-            // analyzer).
-            OsEvent::ExitOs => ca.in_os = false,
-            OsEvent::EnterIdle => ca.in_idle = true,
-            OsEvent::ExitIdle => {
-                // The dispatcher runs next: kernel work without its own
-                // operation marker.
-                ca.in_idle = false;
-                ca.in_os = true;
-            }
-            OsEvent::PidChange { pid } => {
-                let old = std::mem::take(&mut ca.stack);
-                ca.saved.insert(ca.cur_pid, old);
-                ca.stack = ca.saved.remove(&pid).unwrap_or_default();
-                ca.cur_pid = pid;
-            }
-            OsEvent::CtxEnter(_)
-            | OsEvent::CtxExit
-            | OsEvent::BlockOp { .. }
-            | OsEvent::IcacheFlush { .. } => {}
-        }
-        let rel = t.saturating_sub(self.start);
-        let base = cpu as u32 * TRACKS_PER_CPU;
-        let ca = &mut self.cpus[cpu];
-        let mode = ca.mode();
-        if mode != ca.mode_label {
-            if rel > ca.mode_since {
-                self.timeline.push_span(
-                    PID_CPUS,
-                    base + TRACK_MODE,
-                    ca.mode_since,
-                    rel - ca.mode_since,
-                    ca.mode_label,
-                    "mode",
-                );
-            }
-            ca.mode_label = mode;
-            ca.mode_since = rel;
-        }
-        let op = ca.op();
-        if op != ca.op_label {
-            if let Some(label) = ca.op_label {
-                if rel > ca.op_since {
-                    self.timeline.push_span(
-                        PID_CPUS,
-                        base + TRACK_OP,
-                        ca.op_since,
-                        rel - ca.op_since,
-                        label,
-                        "os-op",
-                    );
-                }
-            }
-            ca.op_label = op;
-            ca.op_since = rel;
-        }
-    }
-
-    /// Feeds one monitor record.
-    pub fn push(&mut self, rec: BusRecord) {
+    /// Counts one record: its kind, its CPU's fills and its bus bucket.
+    fn count(&mut self, time: u64, cpu: CpuId, kind: BusKind) {
         self.records += 1;
-        self.last_time = self.last_time.max(rec.time);
-        self.kinds[match rec.kind {
+        self.last_time = self.last_time.max(time);
+        let k = match kind {
             BusKind::Read => 0,
             BusKind::ReadEx => 1,
             BusKind::Upgrade => 2,
             BusKind::WriteBack => 3,
             BusKind::UncachedRead => 4,
-        }] += 1;
-        if matches!(rec.kind, BusKind::Read | BusKind::ReadEx | BusKind::Upgrade) {
-            let c = rec.cpu.index();
-            if c < self.cpu_fills.len() {
-                self.cpu_fills[c] += 1;
+        };
+        self.kinds[k] += 1;
+        // Reads, read-exclusives and upgrades are the CPU's fills.
+        if k < 3 {
+            if let Some(n) = self.cpu_fills.get_mut(cpu.index()) {
+                *n += 1;
             }
         }
-        self.count_bus(&rec);
-        if let Some(Decoded::Event { time, cpu, event }) = self.decoder.push(rec) {
-            self.escape_by_opcode[event.opcode() as usize] += 1;
-            self.handle_event(time, cpu.index(), event);
+        let b = self.rel(time) >> BUS_BUCKET_SHIFT;
+        if b != self.bus_bucket {
+            self.flush_bus_bucket();
+            self.bus_bucket = b;
+        }
+        // Series: reads, writes (read-ex and upgrade), write-backs,
+        // escapes.
+        self.bus[[0, 1, 1, 2, 3][k]] += 1;
+    }
+
+    /// Counts every record of a block, in trace order, from its time,
+    /// CPU and kind columns.
+    pub(crate) fn count_block(&mut self, block: &RecordBlock) {
+        for i in 0..block.len() {
+            self.count(block.time[i], block.cpu[i], block.kind[i]);
         }
     }
 
-    /// Feeds a batch of monitor records, in trace order.
+    /// Takes one decoded event at cycle `t` on `cpu`, whose state `st`
+    /// the event has already moved: closes and opens the mode and
+    /// OS-operation spans whose label changed.
+    pub(crate) fn on_event(&mut self, t: u64, cpu: usize, ev: OsEvent, st: &CpuState) {
+        self.events += 1;
+        self.escape_by_opcode[ev.opcode() as usize] += 1;
+        let rel = self.rel(t);
+        let base = cpu as u32 * TRACKS_PER_CPU;
+        let tr = &mut self.tracks[cpu];
+        let mode = match st.mode() {
+            Mode::Kernel => "os",
+            Mode::Idle => "idle",
+            Mode::User => "user",
+        };
+        if mode != tr.mode_label {
+            if rel > tr.mode_since {
+                self.timeline.push_span(
+                    PID_CPUS,
+                    base + TRACK_MODE,
+                    tr.mode_since,
+                    rel - tr.mode_since,
+                    tr.mode_label,
+                    "mode",
+                );
+            }
+            tr.mode_label = mode;
+            tr.mode_since = rel;
+        }
+        let op = (st.mode() == Mode::Kernel).then(|| st.top().map_or("dispatch", |c| c.label()));
+        if op != tr.op_label {
+            if let Some(label) = tr.op_label {
+                if rel > tr.op_since {
+                    self.timeline.push_span(
+                        PID_CPUS,
+                        base + TRACK_OP,
+                        tr.op_since,
+                        rel - tr.op_since,
+                        label,
+                        "os-op",
+                    );
+                }
+            }
+            tr.op_label = op;
+            tr.op_since = rel;
+        }
+    }
+
+    /// Feeds a batch of monitor records, in trace order, through the
+    /// builder's own decoder — the standalone path, and the reference
+    /// the analyzer-fed timeline is tested against.
     pub fn push_chunk(&mut self, recs: &[BusRecord]) {
+        let n = self.tracks.len();
+        let (mut decoder, mut cpus) = self
+            .own
+            .take()
+            .unwrap_or_else(|| (Decoder::new(n), vec![CpuState::default(); n]));
         for &rec in recs {
-            self.push(rec);
+            self.count(rec.time, rec.cpu, rec.kind);
+            if let Some(Decoded::Event { time, cpu, event }) = decoder.push(rec) {
+                let st = &mut cpus[cpu.index()];
+                st.apply(event);
+                self.on_event(time, cpu.index(), event, st);
+            }
         }
-    }
-
-    /// Feeds a structure-of-arrays block of monitor records, in trace
-    /// order (the streaming pipeline's unit).
-    pub fn push_block(&mut self, block: &RecordBlock) {
-        for rec in block.iter() {
-            self.push(rec);
-        }
+        self.undecodable = decoder.undecodable;
+        self.own = Some((decoder, cpus));
     }
 
     /// Closes open spans at `measure_end` (absolute cycles) and
@@ -310,26 +276,25 @@ impl TimelineBuilder {
     /// the per-CPU fill counts.
     pub fn finish(mut self, measure_end: u64) -> (Timeline, Metrics, Vec<u64>) {
         let end = self.rel(measure_end.max(self.last_time));
-        for c in 0..self.cpus.len() {
+        for (c, tr) in self.tracks.iter().enumerate() {
             let base = c as u32 * TRACKS_PER_CPU;
-            let ca = &mut self.cpus[c];
-            if end > ca.mode_since {
+            if end > tr.mode_since {
                 self.timeline.push_span(
                     PID_CPUS,
                     base + TRACK_MODE,
-                    ca.mode_since,
-                    end - ca.mode_since,
-                    ca.mode_label,
+                    tr.mode_since,
+                    end - tr.mode_since,
+                    tr.mode_label,
                     "mode",
                 );
             }
-            if let Some(label) = ca.op_label {
-                if end > ca.op_since {
+            if let Some(label) = tr.op_label {
+                if end > tr.op_since {
                     self.timeline.push_span(
                         PID_CPUS,
                         base + TRACK_OP,
-                        ca.op_since,
-                        end - ca.op_since,
+                        tr.op_since,
+                        end - tr.op_since,
                         label,
                         "os-op",
                     );
@@ -347,7 +312,7 @@ impl TimelineBuilder {
             m.add(&format!("trace.records.{label}"), n);
         }
         m.add("trace.events", self.events);
-        m.add("trace.undecodable", self.decoder.undecodable);
+        m.add("trace.undecodable", self.undecodable);
         for (op, &n) in self.escape_by_opcode.iter().enumerate() {
             if n > 0 {
                 m.add(&format!("trace.event.{}", opcode_label(op as u32)), n);
@@ -377,10 +342,6 @@ pub struct RunObs {
     /// Cache fills per CPU over the measured window — the causal
     /// profiler's memory-stall estimate input.
     pub cpu_fills: Vec<u64>,
-    /// Streaming-pipeline self-observation. The deterministic half is
-    /// already folded into `metrics` (`pipeline.*`); the wall-clock
-    /// channel-depth half is read by the perf summary only.
-    pub pipeline: PipelineObs,
 }
 
 /// Combines the stream-side timeline and metrics with the analyzer's
@@ -528,7 +489,6 @@ pub fn assemble_run_obs(
         lock_profiles,
         lock_spans,
         cpu_fills,
-        pipeline: PipelineObs::default(),
     }
 }
 
@@ -767,18 +727,6 @@ pub fn merge_hotlines_json(outputs: &[ReportOutput]) -> String {
     out
 }
 
-/// Rebuilds a [`RunObs`] from a materialized trace (the `--from-trace`
-/// path). Kernel-side probes are absent — the serialized trace holds
-/// only what the monitor saw, and lock traffic rides the untraced
-/// synchronization bus.
-pub fn obs_from_artifacts(art: &RunArtifacts, an: &TraceAnalysis) -> RunObs {
-    let tag = art.tag();
-    let mut b = TimelineBuilder::new(art.machine_config.num_cpus as usize, art.measure_start);
-    b.push_chunk(&art.trace);
-    let (timeline, metrics, cpu_fills) = b.finish(art.measure_end);
-    assemble_run_obs(&tag, timeline, metrics, cpu_fills, art, an, None)
-}
-
 /// Merges the per-request timelines into one Chrome trace-event JSON
 /// document, in request order, each run shifted into its own pid range
 /// (so the export is byte-identical for any `--jobs`). Requests that
@@ -872,7 +820,9 @@ pub fn hotline_table(h: &HotlineAnalysis, n: usize) -> String {
 }
 
 /// A `Log2Histogram` of per-chunk record counts plus chunk totals,
-/// collected by the streaming pipeline when observability is on.
+/// collected by the streaming pipeline when observability is on. The
+/// channel-depth samples depend on thread scheduling, so they live in
+/// the `stage/analyze` perf row instead.
 #[derive(Debug, Default, Clone)]
 pub struct PipelineObs {
     /// Chunks that crossed the channel.
@@ -881,18 +831,10 @@ pub struct PipelineObs {
     pub records: u64,
     /// Distribution of per-chunk record counts.
     pub chunk_size: Log2Histogram,
-    /// Highest observed channel depth (chunks in flight), wall-clock
-    /// dependent: reported through the perf summary only.
-    pub depth_max: u64,
-    /// Sum of sampled depths (for a mean), wall-clock dependent.
-    pub depth_sum: u64,
-    /// Number of depth samples taken.
-    pub depth_samples: u64,
 }
 
 impl PipelineObs {
-    /// Folds the deterministic half into `metrics` under `pipeline.*`.
-    /// The depth fields stay out: they depend on thread scheduling.
+    /// Folds the counts into `metrics` under `pipeline.*`.
     pub fn export_into(&self, metrics: &mut Metrics) {
         metrics.add("pipeline.chunks", self.chunks);
         metrics.add("pipeline.records", self.records);
@@ -1014,11 +956,32 @@ mod tests {
     }
 
     #[test]
+    fn operation_open_before_first_idle_pid_change_stays_open() {
+        // The CPU's pre-window stack belongs to the idle pid, so the
+        // first `PidChange` to it restores the open io-syscall rather
+        // than showing the dispatcher.
+        let mut b = TimelineBuilder::new(1, 0);
+        let mut recs = escape(0, 10, OsEvent::EnterOs(OpClass::IoSyscall));
+        recs.extend(escape(0, 20, OsEvent::PidChange { pid: u32::MAX }));
+        b.push_chunk(&recs);
+        let (tl, _, _) = b.finish(100);
+        let ops: Vec<_> = tl
+            .spans()
+            .iter()
+            .filter(|s| s.cat == "os-op")
+            .map(|s| (s.ts, s.dur, s.name.as_str()))
+            .collect();
+        assert_eq!(ops, [(10, 90, OpClass::IoSyscall.label())]);
+    }
+
+    #[test]
     fn bus_counter_buckets_by_time() {
         let mut b = TimelineBuilder::new(1, 0);
-        b.push(fill(0, 10));
-        b.push(fill(0, 20));
-        b.push(fill(0, (1 << BUS_BUCKET_SHIFT) + 5));
+        b.push_chunk(&[
+            fill(0, 10),
+            fill(0, 20),
+            fill(0, (1 << BUS_BUCKET_SHIFT) + 5),
+        ]);
         let (tl, _, _) = b.finish(1 << (BUS_BUCKET_SHIFT + 1));
         let samples = tl.counter_samples();
         assert_eq!(samples.len(), 2);

@@ -55,10 +55,11 @@ pub struct StreamOptions {
     /// it carries no sweep points at all; queries, which need none,
     /// turn it off.
     pub online_sweeps: bool,
-    /// Enable observability: kernel probes, a timeline decoder fed each
-    /// block on the analysis thread, and pipeline self-metrics,
-    /// delivered in [`RunArtifacts::obs`]. Off by default; when off no
-    /// probe state is allocated and no per-record work happens.
+    /// Enable observability: kernel probes, a timeline attached to the
+    /// analyzer (it reads the analyzer's decode on the analysis
+    /// thread), and pipeline self-metrics, delivered in
+    /// [`RunArtifacts::obs`]. Off by default; when off no probe state is
+    /// allocated and no per-record work happens.
     pub observe: bool,
     /// Accumulate per-cell exhibit provenance
     /// ([`crate::analyze::ExhibitProvenance`]) while analyzing; off by
@@ -74,12 +75,6 @@ pub struct StreamOptions {
     /// ([`crate::checkpoint`]). `None` disables caching. Cache traffic
     /// is reported in [`RunArtifacts::checkpoint`].
     pub checkpoint_dir: Option<std::path::PathBuf>,
-    /// Collect per-stage occupancy rows
-    /// ([`RunArtifacts::stage_phases`]): wall/stall/starve seconds and
-    /// channel-depth samples for the producer and the analysis loop.
-    /// Costs one `try_send`/`try_recv` probe per channel operation; off
-    /// by default and free when off. Never affects results.
-    pub stage_stats: bool,
 }
 
 impl Default for StreamOptions {
@@ -93,27 +88,7 @@ impl Default for StreamOptions {
             hotlines: false,
             hotlines_top: 50,
             checkpoint_dir: None,
-            stage_stats: false,
         }
-    }
-}
-
-/// Producer-side stall accounting for one bounded channel: how often
-/// and for how long the sender blocked on a full channel. Shared
-/// `Arc`-wise between the stage that sends and the coordinator that
-/// reports.
-#[derive(Debug, Default)]
-struct StallCell {
-    /// Sends that found the channel full and had to block.
-    stalls: AtomicU64,
-    /// Nanoseconds spent blocked in those sends.
-    stall_ns: AtomicU64,
-}
-
-impl StallCell {
-    /// Seconds spent blocked.
-    fn stall_s(&self) -> f64 {
-        self.stall_ns.load(Ordering::Relaxed) as f64 / 1e9
     }
 }
 
@@ -191,18 +166,19 @@ struct ChunkSink {
     cap: usize,
     tx: SyncSender<StreamMsg>,
     /// Chunks in flight on the channel, shared with the analysis loop
-    /// for depth sampling (observability or stage stats only).
-    depth: Option<Arc<AtomicUsize>>,
-    /// Stall accounting for the producer stage (stage stats only).
-    stall: Option<Arc<StallCell>>,
+    /// for depth sampling.
+    depth: Arc<AtomicUsize>,
+    /// Nanoseconds the producer spent blocked on a full channel,
+    /// shared with the coordinator that reports them.
+    stall_ns: Arc<AtomicU64>,
 }
 
 impl ChunkSink {
     fn new(
         tx: SyncSender<StreamMsg>,
         cap: usize,
-        depth: Option<Arc<AtomicUsize>>,
-        stall: Option<Arc<StallCell>>,
+        depth: Arc<AtomicUsize>,
+        stall_ns: Arc<AtomicU64>,
     ) -> Self {
         let cap = cap.max(1);
         ChunkSink {
@@ -210,31 +186,22 @@ impl ChunkSink {
             cap,
             tx,
             depth,
-            stall,
+            stall_ns,
         }
     }
 
     fn send(&mut self, chunk: RecordBlock) {
-        if let Some(d) = &self.depth {
-            d.fetch_add(1, Ordering::Relaxed);
-        }
+        self.depth.fetch_add(1, Ordering::Relaxed);
         // A closed channel means the analysis side is gone
         // (panicked); nothing useful to do with the records.
-        match &self.stall {
-            None => {
-                self.tx.send(StreamMsg::Block(chunk)).ok();
+        match self.tx.try_send(StreamMsg::Block(chunk)) {
+            Ok(()) | Err(TrySendError::Disconnected(_)) => {}
+            Err(TrySendError::Full(msg)) => {
+                let t0 = Instant::now();
+                self.tx.send(msg).ok();
+                self.stall_ns
+                    .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
             }
-            Some(cell) => match self.tx.try_send(StreamMsg::Block(chunk)) {
-                Ok(()) => {}
-                Err(TrySendError::Full(msg)) => {
-                    let t0 = Instant::now();
-                    self.tx.send(msg).ok();
-                    cell.stalls.fetch_add(1, Ordering::Relaxed);
-                    cell.stall_ns
-                        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                }
-                Err(TrySendError::Disconnected(_)) => {}
-            },
         }
     }
 
@@ -325,11 +292,10 @@ fn run_streaming_inner(
     let chunk_records = opts.chunk_records.max(1);
     let (tx, rx) = sync_channel::<StreamMsg>(CHANNEL_CHUNKS);
     let observe = opts.observe;
-    let stage_stats = opts.stage_stats;
-    let chan_depth = (observe || stage_stats).then(|| Arc::new(AtomicUsize::new(0)));
+    let chan_depth = Arc::new(AtomicUsize::new(0));
     let producer_depth = chan_depth.clone();
-    let stall = stage_stats.then(|| Arc::new(StallCell::default()));
-    let producer_stall = stall.clone();
+    let stall_ns = Arc::new(AtomicU64::new(0));
+    let producer_stall = stall_ns.clone();
     let checkpoint_dir = opts.checkpoint_dir.clone();
 
     thread::scope(|s| {
@@ -369,114 +335,78 @@ fn run_streaming_inner(
             (art, kernel_obs, prod_t0.elapsed())
         });
 
-        // Analysis stage, on the calling thread. The timeline decoder
-        // (observability only) reads the same blocks right after the
-        // analyzer, so it sees exactly the measured window's records.
+        // Analysis stage, on the calling thread. With observability on,
+        // the analyzer feeds the timeline from its own decode of the
+        // measured window's records.
         let mut analyzer: Option<StreamAnalyzer> = None;
-        let mut timeline: Option<TimelineBuilder> = None;
         let mut kept: Vec<BusRecord> = Vec::new();
         let mut pobs = observe.then(PipelineObs::default);
-        let mut an_acc = stage_stats.then(StageAcc::default);
+        let mut an_acc = StageAcc::default();
         let an_t0 = Instant::now();
         let mut row_hook = row_hook;
-        loop {
-            let msg = match &mut an_acc {
-                Some(acc) => match recv_timed(&rx, acc) {
-                    Some(m) => m,
-                    None => break,
-                },
-                None => match rx.recv() {
-                    Ok(m) => m,
-                    Err(_) => break,
-                },
-            };
+        while let Some(msg) = recv_timed(&rx, &mut an_acc) {
             match msg {
                 StreamMsg::Meta(meta) => {
-                    if observe {
-                        timeline = Some(TimelineBuilder::new(
-                            meta.machine_config.num_cpus as usize,
-                            meta.measure_start,
-                        ));
-                    }
+                    let (n, start) = (meta.machine_config.num_cpus as usize, meta.measure_start);
                     let mut a = StreamAnalyzer::new(*meta, aopts.clone());
                     if let Some((filter, sink)) = row_hook.take() {
                         a.set_row_sink(filter, sink);
+                    }
+                    if observe {
+                        a.set_timeline(TimelineBuilder::new(n, start));
                     }
                     analyzer = Some(a);
                 }
                 StreamMsg::Block(recs) => {
                     // Sample the in-flight count (including this chunk)
                     // before releasing the slot.
-                    let depth_now = chan_depth
-                        .as_ref()
-                        .map(|d| d.fetch_sub(1, Ordering::Relaxed) as u64);
+                    let depth = chan_depth.fetch_sub(1, Ordering::Relaxed) as u64;
                     if let Some(p) = &mut pobs {
                         p.chunks += 1;
                         p.records += recs.len() as u64;
                         p.chunk_size.record(recs.len() as u64);
-                        if let Some(depth) = depth_now {
-                            p.depth_max = p.depth_max.max(depth);
-                            p.depth_sum += depth;
-                            p.depth_samples += 1;
-                        }
                     }
-                    if let Some(acc) = &mut an_acc {
-                        acc.records += recs.len() as u64;
-                        if let Some(depth) = depth_now {
-                            acc.sample_depth(depth);
-                        }
-                    }
+                    an_acc.records += recs.len() as u64;
+                    an_acc.sample_depth(depth);
                     analyzer
                         .as_mut()
                         .expect("trace metadata must precede records")
                         .push_block(&recs);
-                    if let Some(t) = &mut timeline {
-                        t.push_block(&recs);
-                    }
                     if opts.keep_trace {
                         kept.extend(recs.iter());
                     }
                 }
             }
         }
-        if let Some(acc) = &mut an_acc {
-            acc.wall = an_t0.elapsed();
-        }
+        an_acc.wall = an_t0.elapsed();
 
         let (mut art, kernel_obs, prod_wall) = producer.join().expect("simulation thread panicked");
-        let built = timeline.map(|t| t.finish(art.measure_end));
-        let analyzer = analyzer.expect("simulation ended without trace metadata");
+        let mut analyzer = analyzer.expect("simulation ended without trace metadata");
+        let built = analyzer.take_timeline().map(|t| t.finish(art.measure_end));
         let layers = analyzer.layer_times();
         let an = analyzer.finish();
         if opts.keep_trace {
             art.trace = kept;
         }
-        if stage_stats {
-            let cell = stall.as_ref().expect("stage stats allocate a stall cell");
-            art.stage_phases.push(PhaseStats {
-                id: "stage/produce".into(),
-                wall_s: prod_wall.as_secs_f64(),
-                cycles: config.measure_cycles,
-                records: art.trace_records,
-                chan_depth_max: None,
-                chan_depth_mean: None,
-                stall_s: Some(cell.stall_s()),
-                ..PhaseStats::default()
-            });
-            if let Some(acc) = &an_acc {
-                art.stage_phases.push(acc.row("stage/analyze".into()));
-            }
-            art.stage_phases.extend(layers.rows());
-        }
+        art.stage_phases.push(PhaseStats {
+            id: "stage/produce".into(),
+            wall_s: prod_wall.as_secs_f64(),
+            cycles: config.measure_cycles,
+            records: art.trace_records,
+            chan_depth_max: None,
+            chan_depth_mean: None,
+            stall_s: Some(stall_ns.load(Ordering::Relaxed) as f64 / 1e9),
+            ..PhaseStats::default()
+        });
+        art.stage_phases.push(an_acc.row("stage/analyze".into()));
+        art.stage_phases.extend(layers.rows());
         if let (Some(p), Some((timeline, mut metrics, cpu_fills))) = (pobs, built) {
             let tag = config.tag();
             p.export_into(&mut metrics);
             if let Some(cs) = &art.checkpoint {
                 cs.export_into(&mut metrics);
             }
-            let mut obs =
-                assemble_run_obs(&tag, timeline, metrics, cpu_fills, &art, &an, kernel_obs);
-            obs.pipeline = p;
+            let obs = assemble_run_obs(&tag, timeline, metrics, cpu_fills, &art, &an, kernel_obs);
             art.obs = Some(Box::new(obs));
         }
         (art, an)
@@ -522,16 +452,17 @@ mod tests {
 
     #[test]
     fn stage_stats_rows_appear_and_results_stay_identical() {
+        // Every streamed run keeps the stage accounting; the batch path
+        // has none, and the reports agree.
         let config = cfg();
-        let (base_art, base_an) = run_streaming(&config, &StreamOptions::default());
-        assert!(base_art.stage_phases.is_empty(), "off by default");
-        let base_report = crate::report::render_all(&base_art, &base_an);
+        let batch_art = run(&config);
+        assert!(
+            batch_art.stage_phases.is_empty(),
+            "batch runs have no stages"
+        );
+        let base_report = crate::report::render_all(&batch_art, &analyze(&batch_art));
 
-        let opts = StreamOptions {
-            stage_stats: true,
-            ..StreamOptions::default()
-        };
-        let (art, an) = run_streaming(&config, &opts);
+        let (art, an) = run_streaming(&config, &StreamOptions::default());
         assert_eq!(
             crate::report::render_all(&art, &an),
             base_report,

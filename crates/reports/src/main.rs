@@ -72,7 +72,8 @@ flags:
                      counters to --metrics-out
   --csv DIR          also write the figure series as CSV files
   --save-trace DIR   save each run's raw monitor trace (.oscartrace)
-  --from-trace FILE  skip simulation; analyze a saved trace instead
+  --from-trace FILE  skip simulation; analyze a saved trace on its own
+                     machine (flags that need a live run are ignored)
   --perf-out FILE    write a BENCH_*.json-style perf summary
                      (wall-clock rates, plus per-stage occupancy rows —
                      stage/<tag>/{produce,analyze} with stall/starve
@@ -445,8 +446,10 @@ fn run_live(args: &Args) -> (Vec<ReportOutput>, PerfSummary) {
 
 /// The `--from-trace` path: load a saved trace (no simulation, nothing
 /// to parallelize) and re-analyze it through the driver's report tail.
-/// The perf summary opens with a `load/<tag>` row. A saved trace has
-/// no lock spans, so `--causal-out` is dropped with a warning.
+/// The perf summary opens with a `load/<tag>` row. The trace fixes the
+/// machine and holds no lock spans, so the machine flags,
+/// `--checkpoint-dir`, `--save-trace` and `--causal-out` are dropped,
+/// each with a warning.
 fn run_from_trace(path: &Path, args: &mut Args) -> (Vec<ReportOutput>, PerfSummary) {
     let mut perf = PerfSummary::new("reports", 1);
     let load_started = Instant::now();
@@ -473,10 +476,24 @@ fn run_from_trace(path: &Path, args: &mut Args) -> (Vec<ReportOutput>, PerfSumma
         art.workload,
         art.measure_end - art.measure_start,
     );
-    if args.causal_out.take().is_some() {
-        // The lock spans the wait-for graph is built from come from the
-        // kernel-side probes of a live run; a saved trace has none.
-        eprintln!("warning: --causal-out needs a live run, ignored with --from-trace");
+    // The lock spans the wait-for graph is built from come from the
+    // kernel-side probes of a live run; a saved trace has none.
+    let m = &args.machine;
+    for (flag, given) in [
+        ("--cpus", !m.cpus.is_empty()),
+        ("--coherence", !m.coherence.is_empty()),
+        ("--icache-kb", m.icache_kb.is_some()),
+        ("--l1-kb", m.l1_kb.is_some()),
+        ("--l2-kb", m.l2_kb.is_some()),
+        ("--l2-assoc", m.l2_assoc.is_some()),
+        ("--dir-banks", m.dir_banks.is_some()),
+        ("--checkpoint-dir", args.checkpoint_dir.is_some()),
+        ("--save-trace", args.save_trace_dir.is_some()),
+        ("--causal-out", args.causal_out.take().is_some()),
+    ] {
+        if given {
+            eprintln!("warning: {flag} needs a live run, ignored with --from-trace");
+        }
     }
     let out = report_from_trace(&art, &request(args, ExperimentConfig::new(art.workload)));
     perf.phases.extend(out.phases.iter().cloned());

@@ -8,7 +8,9 @@
 
 use oscar_core::driver::{run_reports, ReportRequest};
 use oscar_core::observe::{merge_metrics_json, merge_trace_json};
-use oscar_core::{causal_for_run, merge_causal_json, obs_from_artifacts, ExperimentConfig};
+use oscar_core::{
+    causal_for_run, merge_causal_json, run_streaming, ExperimentConfig, StreamOptions,
+};
 use oscar_workloads::WorkloadKind;
 
 fn small(kind: WorkloadKind) -> ExperimentConfig {
@@ -34,10 +36,15 @@ fn segments_tile_the_window_and_path_is_bounded() {
         WorkloadKind::Multpgm,
         WorkloadKind::Oracle,
     ] {
-        let art = oscar_core::run(&small(kind));
-        let an = oscar_core::analyze(&art);
-        let obs = obs_from_artifacts(&art, &an);
-        let a = causal_for_run(&art, &an, &obs);
+        let (art, an) = run_streaming(
+            &small(kind),
+            &StreamOptions {
+                observe: true,
+                ..StreamOptions::default()
+            },
+        );
+        let obs = art.obs.as_deref().expect("observed run");
+        let a = causal_for_run(&art, &an, obs);
 
         // Every CPU's compute + mem_stall + spin + hold + idle must sum
         // exactly to the measured window — no cycle lost or counted

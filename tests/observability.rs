@@ -2,7 +2,7 @@
 //! never change a report byte, and the exports themselves must be
 //! byte-identical whatever `--jobs` the driver ran with.
 
-use oscar_core::driver::{run_reports, ReportRequest};
+use oscar_core::driver::{report_from_trace, run_reports, ReportRequest};
 use oscar_core::observe::{merge_metrics_json, merge_trace_json, TimelineBuilder};
 use oscar_core::pipeline::{run_streaming, StreamOptions};
 use oscar_core::{render_all, ExperimentConfig};
@@ -131,11 +131,13 @@ fn exports_are_byte_identical_across_jobs() {
     assert!(trace.contains("multpgm cpus"));
 }
 
-/// The live timeline is decoded on the analysis thread from the blocks
-/// the pipeline hands the analyzer. It must equal what the same decoder
+/// The live timeline reads the analyzer's decode of the blocks the
+/// pipeline hands it, and `--from-trace` attaches it to the re-analysis
+/// pass the same way. Both must equal what the builder's own decoder
 /// rebuilds record by record from the run's kept trace: the `trace.*`
 /// metrics, the per-CPU fills, the mode and OS-operation tracks and the
-/// bus counter. A block dropped or fed twice changes all of them.
+/// bus counter. A block dropped, fed twice or counted in part changes
+/// them.
 #[test]
 fn live_timeline_matches_rebuild_from_kept_trace() {
     let config = small(WorkloadKind::Multpgm);
@@ -148,25 +150,25 @@ fn live_timeline_matches_rebuild_from_kept_trace() {
             ..StreamOptions::default()
         },
     );
-    let obs = art.obs.as_ref().expect("obs payload");
     assert!(!art.trace.is_empty());
+    let offline = report_from_trace(
+        &art,
+        &ReportRequest {
+            want_obs: true,
+            ..ReportRequest::new(WorkloadKind::Multpgm, 0, 0)
+        },
+    );
 
     let mut b = TimelineBuilder::new(art.machine_config.num_cpus as usize, art.measure_start);
     b.push_chunk(&art.trace);
     let (timeline, metrics, fills) = b.finish(art.measure_end);
 
-    assert_eq!(obs.cpu_fills, fills, "per-CPU fills");
     let trace_keys = |m: &oscar_obs::Metrics| -> Vec<(String, String)> {
         m.iter()
             .filter(|(k, _)| k.starts_with("trace."))
             .map(|(k, v)| (k.to_string(), format!("{v:?}")))
             .collect()
     };
-    let want = trace_keys(&metrics);
-    assert!(want.len() > 5, "the rebuild exports trace.* metrics");
-    assert_eq!(trace_keys(&obs.metrics), want, "trace.* metrics");
-    assert_eq!(obs.metrics.counter("trace.records"), art.trace.len() as u64);
-
     let tracks = |t: &oscar_obs::Timeline| -> Vec<oscar_obs::timeline::Span> {
         t.spans()
             .iter()
@@ -174,9 +176,6 @@ fn live_timeline_matches_rebuild_from_kept_trace() {
             .cloned()
             .collect()
     };
-    let want = tracks(&timeline);
-    assert!(want.iter().any(|s| s.cat == "os-op"), "os-op segments");
-    assert_eq!(tracks(&obs.timeline), want, "mode and os-op tracks");
     let bus = |t: &oscar_obs::Timeline| -> Vec<oscar_obs::timeline::CounterSample> {
         t.counter_samples()
             .iter()
@@ -184,5 +183,43 @@ fn live_timeline_matches_rebuild_from_kept_trace() {
             .cloned()
             .collect()
     };
-    assert_eq!(bus(&obs.timeline), bus(&timeline), "bus counter track");
+    assert!(
+        trace_keys(&metrics).len() > 5,
+        "the rebuild exports trace.* metrics"
+    );
+    assert!(
+        tracks(&timeline).iter().any(|s| s.cat == "os-op"),
+        "os-op segments"
+    );
+    assert!(
+        metrics.counter("trace.records.writeback") > 0,
+        "the window has write-backs"
+    );
+    for (leg, obs) in [
+        ("live", art.obs.as_deref()),
+        ("offline", offline.obs.as_deref()),
+    ] {
+        let obs = obs.unwrap_or_else(|| panic!("{leg}: obs payload"));
+        assert_eq!(obs.cpu_fills, fills, "{leg}: per-CPU fills");
+        assert_eq!(
+            trace_keys(&obs.metrics),
+            trace_keys(&metrics),
+            "{leg}: trace.* metrics"
+        );
+        assert_eq!(
+            obs.metrics.counter("trace.records"),
+            art.trace.len() as u64,
+            "{leg}: trace.records"
+        );
+        assert_eq!(
+            tracks(&obs.timeline),
+            tracks(&timeline),
+            "{leg}: mode and os-op tracks"
+        );
+        assert_eq!(
+            bus(&obs.timeline),
+            bus(&timeline),
+            "{leg}: bus counter track"
+        );
+    }
 }
