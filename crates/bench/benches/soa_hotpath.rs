@@ -10,8 +10,7 @@ use oscar_bench::{black_box, Harness};
 use oscar_core::analyze::{AnalyzeOptions, StreamAnalyzer, TraceMeta};
 use oscar_core::pipeline::{run_streaming, StreamOptions};
 use oscar_core::{run, ExperimentConfig};
-use oscar_machine::monitor::{RecordBlock, RecordFilter};
-use oscar_machine::{BlockSelector, BusKind};
+use oscar_machine::monitor::RecordBlock;
 use oscar_workloads::WorkloadKind;
 
 const CHUNK: usize = 4096;
@@ -70,28 +69,6 @@ fn main() {
             a.push_block(b);
         }
         black_box(a.finish().os.total())
-    });
-
-    // The columnar predicate-pushdown kernel the query row path runs:
-    // kind/cpu bitmaps vectorized, addr/time refined only on set lanes.
-    let filter = RecordFilter {
-        cpus: Some(0b0101),
-        kinds: Some(
-            RecordFilter::kind_bit(BusKind::Read) | RecordFilter::kind_bit(BusKind::Upgrade),
-        ),
-        addr: Some((0, 8 << 20)),
-        time: None,
-    };
-    let mut sel = BlockSelector::new(filter);
-    h.bench("soa/filter_select_block", || {
-        let mut kept = 0usize;
-        for b in &blocks {
-            kept += black_box(sel.select(b, 0))
-                .iter()
-                .map(|w| w.count_ones() as usize)
-                .sum::<usize>();
-        }
-        black_box(kept)
     });
 
     // One simulate+analyze run through the streaming pipeline: the

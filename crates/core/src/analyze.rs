@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use oscar_machine::addr::{Ppn, Vpn};
-use oscar_machine::monitor::{BusRecord, RecordBlock, RecordFilter};
+use oscar_machine::monitor::{BusRecord, RecordBlock};
 use oscar_machine::{BusKind, MachineConfig};
 use oscar_os::stats::ModeCycles;
 use oscar_os::user::segs;
@@ -745,16 +745,6 @@ pub struct StreamAnalyzer {
     /// of a `BTreeMap` probe. Materialized into
     /// [`TraceAnalysis::os_i_by_subsystem`] at finish.
     os_i_sub_dense: Vec<u64>,
-    /// Columnar evaluator for the row sink's raw-field predicate (the
-    /// query engine's pushdown; never affects analysis state): one
-    /// SWAR pass per block computes the pass bitmap
-    /// [`StreamAnalyzer::emit_row`] checks.
-    row_selector: Option<oscar_machine::BlockSelector>,
-    /// Pass bitmap for the block currently being dispatched (64 lanes
-    /// per word); empty between blocks.
-    row_pass: Vec<u64>,
-    /// Lane index of the record currently being dispatched.
-    row_idx: usize,
     /// Columnar write-back prescan scratch for
     /// [`StreamAnalyzer::push_block`].
     kind_scan: crate::classify::KindScan,
@@ -813,9 +803,6 @@ impl StreamAnalyzer {
             iscratch: Vec::new(),
             dscratch: Vec::new(),
             os_i_sub_dense: Vec::new(),
-            row_selector: None,
-            row_pass: Vec::new(),
-            row_idx: 0,
             kind_scan: crate::classify::KindScan::default(),
             row_sink: None,
             timeline: None,
@@ -866,14 +853,10 @@ impl StreamAnalyzer {
         }
     }
 
-    /// Installs a row sink: every record (passing `filter`, evaluated
-    /// against window-relative time) is offered to `sink` as an
+    /// Installs a row sink: every record is offered to `sink` as an
     /// enriched [`QueryRow`], with no effect on the analysis itself.
-    /// The filter is evaluated per block, so with a filter set, rows
-    /// are offered only for records fed through
-    /// [`StreamAnalyzer::push_block`].
-    pub fn set_row_sink(&mut self, filter: Option<RecordFilter>, sink: RowSink) {
-        self.row_selector = filter.map(oscar_machine::BlockSelector::new);
+    /// The sink does its own filtering.
+    pub fn set_row_sink(&mut self, sink: RowSink) {
         self.row_sink = Some(sink);
     }
 
@@ -894,8 +877,7 @@ impl StreamAnalyzer {
         Some(*tl)
     }
 
-    /// Offers one enriched row to the sink, applying the pushdown
-    /// filter first. No-op without a sink.
+    /// Offers one enriched row to the sink. No-op without a sink.
     fn emit_row(
         &mut self,
         rec: &BusRecord,
@@ -908,16 +890,6 @@ impl StreamAnalyzer {
         let Some(sink) = self.row_sink.as_mut() else {
             return;
         };
-        if self.row_selector.is_some() {
-            // The pass bitmap already evaluated the predicate for every
-            // lane of the in-flight block; outside a block it is empty
-            // and no row passes.
-            let i = self.row_idx;
-            let word = self.row_pass.get(i / 64).copied().unwrap_or(0);
-            if word & (1u64 << (i % 64)) == 0 {
-                return;
-            }
-        }
         sink(&QueryRow {
             time: rec.time.saturating_sub(self.meta.measure_start),
             cpu: rec.cpu.0,
@@ -1038,17 +1010,9 @@ impl StreamAnalyzer {
     }
 
     /// The row-sink variant of the block dispatch loop: every record is
-    /// walked in order (rows must be offered for write-backs too), but
-    /// the pushdown predicate is evaluated once per block by the
-    /// columnar [`oscar_machine::BlockSelector`] instead of once per
-    /// row in [`StreamAnalyzer::emit_row`].
+    /// walked in order, because rows are offered for write-backs too.
     fn push_block_rows(&mut self, block: &RecordBlock) {
-        if let Some(sel) = self.row_selector.as_mut() {
-            let pass = sel.select(block, self.meta.measure_start);
-            self.row_pass.extend_from_slice(pass);
-        }
         for i in 0..block.len() {
-            self.row_idx = i;
             let kind = block.kind[i];
             let rec = BusRecord {
                 time: block.time[i],
@@ -1065,7 +1029,6 @@ impl StreamAnalyzer {
                 BusKind::UncachedRead => self.push(rec),
             }
         }
-        self.row_pass.clear();
     }
 
     /// Replays the staged miss-stream items through the inline

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use oscar_machine::monitor::{BusRecord, RecordBlock, RecordFilter, TraceSink};
+use oscar_machine::monitor::{BusRecord, RecordBlock, TraceSink};
 
 use crate::analyze::{AnalyzeOptions, RowSink, StreamAnalyzer, TraceAnalysis, TraceMeta};
 use crate::checkpoint::{warm_prepare, CheckpointStats};
@@ -256,31 +256,25 @@ pub fn run_streaming_with(
 }
 
 /// [`run_streaming`] with a per-record row hook: `sink` observes one
-/// [`crate::analyze::QueryRow`] per trace record that passes `filter`,
-/// fully enriched (mode, miss class, OS operation, kernel region) as
-/// the analyzer decodes it. The hook runs on the calling thread, so the
-/// sink may capture non-`Send` state. This is the pushdown path behind
-/// `oscar-reports query`: aggregation happens per record and memory
+/// [`crate::analyze::QueryRow`] per trace record, fully enriched (mode,
+/// miss class, OS operation, kernel region) as the analyzer decodes
+/// it. The hook runs on the calling thread, so the sink may capture
+/// non-`Send` state. This is the `records` source of `oscar-reports
+/// query`: the sink filters and aggregates per record, and memory
 /// stays bounded regardless of trace length.
 pub fn run_streaming_rows(
     config: &ExperimentConfig,
     opts: &StreamOptions,
-    filter: Option<RecordFilter>,
     sink: RowSink,
 ) -> (RunArtifacts, TraceAnalysis) {
-    run_streaming_inner(
-        config,
-        || config.build_workload(),
-        opts,
-        Some((filter, sink)),
-    )
+    run_streaming_inner(config, || config.build_workload(), opts, Some(sink))
 }
 
 fn run_streaming_inner(
     config: &ExperimentConfig,
     build: impl FnOnce() -> oscar_workloads::Workload + Send,
     opts: &StreamOptions,
-    row_hook: Option<(Option<RecordFilter>, RowSink)>,
+    row_hook: Option<RowSink>,
 ) -> (RunArtifacts, TraceAnalysis) {
     let aopts = AnalyzeOptions {
         online_sweeps: opts.online_sweeps,
@@ -349,8 +343,8 @@ fn run_streaming_inner(
                 StreamMsg::Meta(meta) => {
                     let (n, start) = (meta.machine_config.num_cpus as usize, meta.measure_start);
                     let mut a = StreamAnalyzer::new(*meta, aopts.clone());
-                    if let Some((filter, sink)) = row_hook.take() {
-                        a.set_row_sink(filter, sink);
+                    if let Some(sink) = row_hook.take() {
+                        a.set_row_sink(sink);
                     }
                     if observe {
                         a.set_timeline(TimelineBuilder::new(n, start));

@@ -1,14 +1,13 @@
 //! SWAR scan kernels over packed byte columns.
 //!
 //! The monitor stages records as structure-of-arrays columns
-//! ([`crate::monitor::RecordBlock`]), so the hot consumers — the
-//! analyzer's kind-dispatch loop and the query engine's pushed-down
-//! [`crate::monitor::RecordFilter`] — scan a contiguous `&[u8]` asking
-//! one question: *which lanes hold one of these byte values?* This
-//! module answers it 64 lanes per output word with one portable, safe
-//! kernel: SWAR, eight lanes per `u64`, using an exact per-lane
-//! equality mask (`(y & 0x7f..) + 0x7f.. | y`, no cross-lane carries,
-//! so no false positives) and a multiply-gather movemask.
+//! ([`crate::monitor::RecordBlock`]), so the analyzer's kind-dispatch
+//! loop scans a contiguous `&[u8]` asking one question: *which lanes
+//! hold one of these byte values?* This module answers it 64 lanes per
+//! output word with one portable, safe kernel: SWAR, eight lanes per
+//! `u64`, using an exact per-lane equality mask (`(y & 0x7f..) +
+//! 0x7f.. | y`, no cross-lane carries, so no false positives) and a
+//! multiply-gather movemask.
 //!
 //! A byte-at-a-time loop is the kernel's differential oracle in this
 //! module's tests; `machine_micro`'s `kindscan/*` group times the
@@ -24,19 +23,6 @@ pub fn select_eq_any(codes: &[u8], values: &[u8], out: &mut Vec<u64>) {
     out.clear();
     out.resize(codes.len().div_ceil(64), 0);
     select_swar(codes, values, out);
-}
-
-/// Fills `out` with the all-lanes-set bitmap for a column of `len`
-/// lanes (tail bits zero), the identity for further `AND`ing.
-pub fn ones(len: usize, out: &mut Vec<u64>) {
-    out.clear();
-    out.resize(len.div_ceil(64), !0u64);
-    if let Some(last) = out.last_mut() {
-        let tail = len % 64;
-        if tail != 0 {
-            *last = (1u64 << tail) - 1;
-        }
-    }
 }
 
 /// Total set bits across a bitmap.
@@ -151,18 +137,5 @@ mod tests {
             popcount(&got),
             codes.iter().filter(|&&c| (1..=2).contains(&c)).count() as u64
         );
-    }
-
-    #[test]
-    fn ones_masks_the_tail() {
-        let mut bm = Vec::new();
-        ones(70, &mut bm);
-        assert_eq!(bm.len(), 2);
-        assert_eq!(bm[0], !0u64);
-        assert_eq!(bm[1], (1u64 << 6) - 1);
-        ones(64, &mut bm);
-        assert_eq!(bm, vec![!0u64]);
-        ones(0, &mut bm);
-        assert!(bm.is_empty());
     }
 }

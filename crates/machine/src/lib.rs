@@ -60,6 +60,6 @@ pub use bus::BusKind;
 pub use config::{CacheConfig, Coherence, MachineConfig};
 pub use dir::{DirFabric, DirStats};
 pub use machine::{AccessOutcome, CpuCounters, HitLevel, InterconnectStats, Machine, MesiState};
-pub use monitor::{BlockSelector, BufferMode, BusRecord, RecordFilter, TraceBuffer, TraceSink};
+pub use monitor::{BufferMode, BusRecord, TraceBuffer, TraceSink};
 pub use snap::{SnapError, SnapReader, SnapWriter, SNAP_FORMAT_VERSION};
 pub use tlb::{Tlb, TlbEntry};

@@ -149,13 +149,6 @@ impl RecordBlock {
         // column is byte-for-byte its discriminant column.
         unsafe { std::slice::from_raw_parts(self.kind.as_ptr() as *const u8, self.kind.len()) }
     }
-
-    /// The CPU column as packed bytes, for the [`crate::kindscan`]
-    /// scan kernels.
-    pub fn cpu_codes(&self) -> &[u8] {
-        // Sound: CpuId is repr(transparent) over u8.
-        unsafe { std::slice::from_raw_parts(self.cpu.as_ptr() as *const u8, self.cpu.len()) }
-    }
 }
 
 /// A consumer of monitored records, for streaming analysis: while a
@@ -167,173 +160,6 @@ impl RecordBlock {
 pub trait TraceSink: Send {
     /// Receives a structure-of-arrays batch, in trace order.
     fn record_block(&mut self, block: &RecordBlock);
-}
-
-/// A cheap raw-field predicate over [`BusRecord`]s: CPU set, transaction
-/// kinds, inclusive physical-address range and inclusive time window,
-/// each optional. This is what the query engine pushes down into the
-/// streaming pipeline.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecordFilter {
-    /// Accepted CPUs as a bitmask over CPU indices (`None` = all).
-    pub cpus: Option<u32>,
-    /// Accepted kinds as a bitmask over [`RecordFilter::kind_bit`]
-    /// (`None` = all).
-    pub kinds: Option<u8>,
-    /// Accepted physical byte addresses, inclusive (`None` = all).
-    pub addr: Option<(u64, u64)>,
-    /// Accepted timestamps, inclusive (`None` = all). Callers choose the
-    /// time base: [`RecordFilter::matches`] uses the record's absolute
-    /// cycle count, [`RecordFilter::matches_at`] whatever rebased time
-    /// the caller passes (the analyzer uses window-relative cycles).
-    pub time: Option<(u64, u64)>,
-}
-
-impl RecordFilter {
-    /// The bit representing `kind` in [`RecordFilter::kinds`].
-    pub fn kind_bit(kind: BusKind) -> u8 {
-        1 << match kind {
-            BusKind::Read => 0,
-            BusKind::ReadEx => 1,
-            BusKind::Upgrade => 2,
-            BusKind::WriteBack => 3,
-            BusKind::UncachedRead => 4,
-        }
-    }
-
-    /// Whether every record passes (no constraint set).
-    pub fn is_pass_all(&self) -> bool {
-        self.cpus.is_none() && self.kinds.is_none() && self.addr.is_none() && self.time.is_none()
-    }
-
-    /// Evaluates the predicate with the record's own timestamp.
-    pub fn matches(&self, rec: &BusRecord) -> bool {
-        self.matches_at(rec, rec.time)
-    }
-
-    /// Evaluates the predicate, with the time window checked against a
-    /// caller-supplied (possibly rebased) timestamp.
-    pub fn matches_at(&self, rec: &BusRecord, time: u64) -> bool {
-        if let Some(mask) = self.cpus {
-            if rec.cpu.index() >= 32 || mask & (1 << rec.cpu.index()) == 0 {
-                return false;
-            }
-        }
-        if let Some(mask) = self.kinds {
-            if mask & Self::kind_bit(rec.kind) == 0 {
-                return false;
-            }
-        }
-        if let Some((lo, hi)) = self.addr {
-            let a = rec.paddr.raw();
-            if a < lo || a > hi {
-                return false;
-            }
-        }
-        if let Some((lo, hi)) = self.time {
-            if time < lo || time > hi {
-                return false;
-            }
-        }
-        true
-    }
-}
-
-/// Columnar evaluator for one [`RecordFilter`] over [`RecordBlock`]s:
-/// the kind and CPU predicates run through the [`crate::kindscan`]
-/// SWAR kernel over the packed byte columns, the (rare) address
-/// and time range predicates refine the surviving lanes scalar-wise.
-/// The result is a pass bitmap — bit `i` of word `w` covers record
-/// `64 * w + i` — identical lane-for-lane to evaluating
-/// [`RecordFilter::matches_at`] per record (differentially tested).
-/// Owns its scratch bitmaps so steady-state selection allocates
-/// nothing.
-#[derive(Debug)]
-pub struct BlockSelector {
-    filter: RecordFilter,
-    /// Accepted kind codes, decoded from the kind mask (empty = no
-    /// kind constraint).
-    kind_values: Vec<u8>,
-    /// Accepted CPU ids, decoded from the CPU mask (empty = no CPU
-    /// constraint).
-    cpu_values: Vec<u8>,
-    pass: Vec<u64>,
-    scratch: Vec<u64>,
-}
-
-impl BlockSelector {
-    /// Builds the evaluator for `filter`, precomputing the byte value
-    /// sets the scan kernels compare against.
-    pub fn new(filter: RecordFilter) -> Self {
-        const ALL_KINDS: [BusKind; 5] = [
-            BusKind::Read,
-            BusKind::ReadEx,
-            BusKind::Upgrade,
-            BusKind::WriteBack,
-            BusKind::UncachedRead,
-        ];
-        let kind_values = match filter.kinds {
-            Some(mask) => ALL_KINDS
-                .iter()
-                .filter(|&&k| mask & RecordFilter::kind_bit(k) != 0)
-                .map(|&k| k.code())
-                .collect(),
-            None => Vec::new(),
-        };
-        let cpu_values = match filter.cpus {
-            Some(mask) => (0u8..32).filter(|&c| mask & (1 << c) != 0).collect(),
-            None => Vec::new(),
-        };
-        BlockSelector {
-            filter,
-            kind_values,
-            cpu_values,
-            pass: Vec::new(),
-            scratch: Vec::new(),
-        }
-    }
-
-    /// The filter this selector evaluates.
-    pub fn filter(&self) -> &RecordFilter {
-        &self.filter
-    }
-
-    /// Evaluates the filter over every record of `block`, with the time
-    /// window checked against `time - time_sub` (saturating — pass 0
-    /// for absolute-time filtering, the measurement-window start for
-    /// the analyzer's rebased times). Returns the pass bitmap; tail
-    /// bits past `block.len()` are zero.
-    pub fn select(&mut self, block: &RecordBlock, time_sub: u64) -> &[u64] {
-        let n = block.len();
-        if self.filter.kinds.is_some() {
-            crate::kindscan::select_eq_any(block.kind_codes(), &self.kind_values, &mut self.pass);
-        } else {
-            crate::kindscan::ones(n, &mut self.pass);
-        }
-        if self.filter.cpus.is_some() {
-            crate::kindscan::select_eq_any(block.cpu_codes(), &self.cpu_values, &mut self.scratch);
-            for (p, s) in self.pass.iter_mut().zip(&self.scratch) {
-                *p &= s;
-            }
-        }
-        if self.filter.addr.is_some() || self.filter.time.is_some() {
-            let (alo, ahi) = self.filter.addr.unwrap_or((0, u64::MAX));
-            let (tlo, thi) = self.filter.time.unwrap_or((0, u64::MAX));
-            for (w, word) in self.pass.iter_mut().enumerate() {
-                let mut bits = *word;
-                while bits != 0 {
-                    let i = w * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let a = block.paddr[i].raw();
-                    let t = block.time[i].saturating_sub(time_sub);
-                    if a < alo || a > ahi || t < tlo || t > thi {
-                        *word &= !(1u64 << (i % 64));
-                    }
-                }
-            }
-        }
-        &self.pass
-    }
 }
 
 /// Records staged in the buffer before being handed to an attached sink
@@ -711,58 +537,6 @@ mod tests {
     }
 
     #[test]
-    fn record_filter_gates_each_field() {
-        let r = BusRecord {
-            time: 100,
-            cpu: CpuId(2),
-            paddr: PAddr::new(0x4000),
-            kind: BusKind::ReadEx,
-            sub: 0,
-        };
-        assert!(RecordFilter::default().is_pass_all());
-        assert!(RecordFilter::default().matches(&r));
-
-        let cpu_ok = RecordFilter {
-            cpus: Some(1 << 2),
-            ..Default::default()
-        };
-        let cpu_bad = RecordFilter {
-            cpus: Some(1 << 3),
-            ..Default::default()
-        };
-        assert!(cpu_ok.matches(&r) && !cpu_bad.matches(&r));
-
-        let kind_ok = RecordFilter {
-            kinds: Some(RecordFilter::kind_bit(BusKind::ReadEx)),
-            ..Default::default()
-        };
-        let kind_bad = RecordFilter {
-            kinds: Some(RecordFilter::kind_bit(BusKind::WriteBack)),
-            ..Default::default()
-        };
-        assert!(kind_ok.matches(&r) && !kind_bad.matches(&r));
-
-        let addr_edge = RecordFilter {
-            addr: Some((0x4000, 0x4000)),
-            ..Default::default()
-        };
-        let addr_bad = RecordFilter {
-            addr: Some((0, 0x3fff)),
-            ..Default::default()
-        };
-        assert!(addr_edge.matches(&r) && !addr_bad.matches(&r));
-
-        let time_abs = RecordFilter {
-            time: Some((100, 200)),
-            ..Default::default()
-        };
-        assert!(time_abs.matches(&r));
-        // matches_at rebases: the same window against a rebased time.
-        assert!(!time_abs.matches_at(&r, 99));
-        assert!(time_abs.matches_at(&r, 200));
-    }
-
-    #[test]
     fn sink_sees_full_batches_promptly_and_tail_on_drop() {
         use std::sync::mpsc;
 
@@ -784,84 +558,5 @@ mod tests {
         // …and dropping the buffer flushes the tail.
         drop(b);
         assert_eq!(rx.try_iter().collect::<Vec<_>>(), vec![3]);
-    }
-
-    /// Deterministic pseudo-random record stream for the selector
-    /// differential test (xorshift; no RNG dependency).
-    fn random_block(seed: u64, len: usize) -> RecordBlock {
-        let mut s = seed | 1;
-        let mut step = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
-        let kinds = [
-            BusKind::Read,
-            BusKind::ReadEx,
-            BusKind::Upgrade,
-            BusKind::WriteBack,
-            BusKind::UncachedRead,
-        ];
-        let mut block = RecordBlock::with_capacity(len);
-        for _ in 0..len {
-            block.push(BusRecord {
-                time: step() % 10_000,
-                cpu: CpuId((step() % 8) as u8),
-                paddr: PAddr::new(step() % (1 << 20)),
-                kind: kinds[(step() % 5) as usize],
-                sub: (step() % 16) as u8,
-            });
-        }
-        block
-    }
-
-    #[test]
-    fn block_selector_matches_per_record_filter() {
-        let filters = [
-            RecordFilter::default(),
-            RecordFilter {
-                kinds: Some(RecordFilter::kind_bit(BusKind::Read)),
-                ..RecordFilter::default()
-            },
-            RecordFilter {
-                kinds: Some(
-                    RecordFilter::kind_bit(BusKind::ReadEx)
-                        | RecordFilter::kind_bit(BusKind::Upgrade),
-                ),
-                cpus: Some(0b101),
-                ..RecordFilter::default()
-            },
-            RecordFilter {
-                cpus: Some(0b11),
-                addr: Some((1 << 10, 1 << 18)),
-                time: Some((100, 8_000)),
-                ..RecordFilter::default()
-            },
-            RecordFilter {
-                kinds: Some(0),
-                ..RecordFilter::default()
-            },
-        ];
-        // Ragged lengths straddle the 64-lane word boundary.
-        for (i, len) in [0usize, 1, 63, 64, 65, 1000, 4096].into_iter().enumerate() {
-            let block = random_block(0xdead + i as u64, len);
-            for filter in filters {
-                let mut sel = BlockSelector::new(filter);
-                for time_sub in [0u64, 500] {
-                    let pass = sel.select(&block, time_sub);
-                    for (j, rec) in block.iter().enumerate() {
-                        let want = filter.matches_at(&rec, rec.time.saturating_sub(time_sub));
-                        let got = pass[j / 64] & (1u64 << (j % 64)) != 0;
-                        assert_eq!(got, want, "lane {j} of {len} (filter {filter:?})");
-                    }
-                    // Tail bits past the block are clear.
-                    if len % 64 != 0 {
-                        let last = pass.last().copied().unwrap_or(0);
-                        assert_eq!(last >> (len % 64), 0, "tail bits must be zero");
-                    }
-                }
-            }
-        }
     }
 }

@@ -122,7 +122,8 @@ impl LockFamily {
         matches!(self, LockFamily::Ino | LockFamily::User)
     }
 
-    fn index(self) -> usize {
+    /// The family's position in [`LockFamily::ALL`].
+    pub fn index(self) -> usize {
         LockFamily::ALL.iter().position(|&f| f == self).unwrap()
     }
 }

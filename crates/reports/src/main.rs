@@ -9,10 +9,12 @@
 //! reproducible bit-for-bit regardless of parallelism.
 //!
 //! Two subcommands ride on the same engine: `oscar-reports query`
-//! filters/groups/aggregates the monitor record stream (or the lock
-//! spans) without materializing it, and `oscar-reports diff` compares
-//! two metrics/provenance exports with per-prefix tolerances — the
-//! golden-metrics regression gate in CI.
+//! filters/groups/aggregates one of four row sources (monitor records,
+//! lock spans, hot lines, wait-for edges) through one evaluator,
+//! folding record rows as they stream instead of materializing the
+//! trace, and `oscar-reports diff` compares two metrics/provenance
+//! exports with per-prefix tolerances — the golden-metrics regression
+//! gate in CI.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -73,7 +75,9 @@ flags:
   --csv DIR          also write the figure series as CSV files
   --save-trace DIR   save each run's raw monitor trace (.oscartrace)
   --from-trace FILE  skip simulation; analyze a saved trace on its own
-                     machine (flags that need a live run are ignored)
+                     machine and window (WORKLOAD, MEASURE, WARMUP and
+                     flags that need a live run are ignored, with a
+                     warning each)
   --perf-out FILE    write a BENCH_*.json-style perf summary
                      (wall-clock rates, plus per-stage occupancy rows —
                      stage/<tag>/{produce,analyze} with stall/starve
@@ -384,6 +388,12 @@ fn parse_args(argv: &[String]) -> Args {
         }
     }
     let (kinds, measure, warmup) = parse_workloads(&positional);
+    // A saved trace fixes its own workload and window.
+    if from_trace.is_some() {
+        for (name, value) in ["WORKLOAD", "MEASURE", "WARMUP"].iter().zip(&positional) {
+            eprintln!("warning: {name} `{value}` needs a live run, ignored with --from-trace");
+        }
+    }
     Args {
         kinds,
         measure,
@@ -449,7 +459,7 @@ fn run_live(args: &Args) -> (Vec<ReportOutput>, PerfSummary) {
 /// The perf summary opens with a `load/<tag>` row. The trace fixes the
 /// machine and holds no lock spans, so the machine flags,
 /// `--checkpoint-dir`, `--save-trace` and `--causal-out` are dropped,
-/// each with a warning.
+/// each with a warning (as are the positionals, in `parse_args`).
 fn run_from_trace(path: &Path, args: &mut Args) -> (Vec<ReportOutput>, PerfSummary) {
     let mut perf = PerfSummary::new("reports", 1);
     let load_started = Instant::now();
@@ -551,9 +561,9 @@ fn report_main(argv: &[String]) {
     emit(&args, &outputs, perf, started);
 }
 
-/// `oscar-reports query`: filter/group/aggregate the record stream (or
-/// the lock spans) of fresh runs, with predicate pushdown — no trace is
-/// ever materialized, and the JSON is byte-identical for any --jobs.
+/// `oscar-reports query`: filter/group/aggregate the rows of one
+/// source (records, locks, hotlines or waits) of fresh runs — no trace
+/// is ever materialized, and the JSON is byte-identical for any --jobs.
 fn query_main(argv: &[String]) {
     let mut positional = Vec::new();
     let mut machine = MachineFlags::default();

@@ -1,5 +1,6 @@
 //! Integration tests for the trace query engine, exhibit provenance
-//! and the diff gate: pushdown must agree with a materialized replay,
+//! and the diff gate: record filters must agree with a hand count over
+//! a materialized replay,
 //! provenance cells must sum to the aggregate analysis, everything
 //! must be byte-identical across `--jobs`, and edge cases (empty
 //! windows, zero-match queries) must stay well-formed.
@@ -9,6 +10,7 @@ use oscar_core::observe::{merge_provenance_json, provenance_metrics};
 use oscar_core::pipeline::{run_streaming, StreamOptions};
 use oscar_core::query::{compile, run_query};
 use oscar_core::{parallel_map, render_all, ExperimentConfig};
+use oscar_machine::{BusKind, MachineConfig};
 use oscar_obs::query::QuerySpec;
 use oscar_obs::{diff_documents, Tolerance};
 use oscar_workloads::WorkloadKind;
@@ -36,6 +38,9 @@ fn unfiltered_query_matches_every_record() {
     assert!(q.table.len() >= 4, "reads, read-ex, writebacks, escapes");
 }
 
+/// The raw-field filters (`cpu`, `kind`, `addr`, `time`, as value
+/// lists and ranges) admit exactly the records a hand count over the
+/// materialized trace admits.
 #[test]
 fn pushdown_agrees_with_materialized_trace() {
     let config = small(WorkloadKind::Pmake);
@@ -45,26 +50,65 @@ fn pushdown_agrees_with_materialized_trace() {
         ..StreamOptions::default()
     };
     let (art, _an) = run_streaming(&config, &opts);
-    let lo = 500_000u64;
-    let hi = 1_500_000u64;
-    let expected = art
-        .trace
-        .iter()
-        .filter(|r| {
-            // The analyzer rebases with saturating_sub; mirror it so
-            // boundary records land in the same bucket.
-            let t = r.time.saturating_sub(art.measure_start);
-            r.cpu.index() == 1 && t >= lo && t <= hi
-        })
-        .count() as u64;
+    type Keep = fn(u8, BusKind, u64, u64) -> bool;
+    let cases: [(&[&str], Keep); 2] = [
+        (&["cpu=1", "time=500000..1500000"], |cpu, _, _, t| {
+            cpu == 1 && (500_000..=1_500_000).contains(&t)
+        }),
+        (
+            &[
+                "cpu=0,2",
+                "kind=read,writeback",
+                "addr=0x100000..0x600000",
+                "time=100000..2000000",
+            ],
+            |cpu, kind, addr, t| {
+                (cpu == 0 || cpu == 2)
+                    && matches!(kind, BusKind::Read | BusKind::WriteBack)
+                    && (0x10_0000..=0x60_0000).contains(&addr)
+                    && (100_000..=2_000_000).contains(&t)
+            },
+        ),
+    ];
+    for (wheres, keep) in cases {
+        let expected = art
+            .trace
+            .iter()
+            .filter(|r| {
+                // The analyzer rebases with saturating_sub; mirror it so
+                // boundary records land in the same bucket.
+                let t = r.time.saturating_sub(art.measure_start);
+                keep(r.cpu.0, r.kind, r.paddr.raw(), t)
+            })
+            .count() as u64;
+        let q = run_query(&config, &spec("records", wheres, None, None)).unwrap();
+        assert_eq!(q.table.matched(), expected, "{wheres:?}: filter drops rows");
+        assert!(
+            expected > 0,
+            "{wheres:?}: window must not be trivially empty"
+        );
+    }
+}
 
-    let q = run_query(
-        &config,
-        &spec("records", &["cpu=1", "time=500000..1500000"], None, None),
-    )
-    .unwrap();
-    assert_eq!(q.table.matched(), expected, "pushdown must not drop rows");
-    assert!(expected > 0, "window must not be trivially empty");
+/// CPUs 32-63 filter like any other: on a 64-CPU machine the full
+/// range keeps every row and every CPU's group, and a high CPU alone
+/// keeps its own rows.
+#[test]
+fn cpu_filter_covers_all_64_cpus() {
+    let mut config = ExperimentConfig::new(WorkloadKind::Oracle)
+        .warmup(300_000)
+        .measure(300_000)
+        .scaled_workload(true);
+    config.machine = MachineConfig::mesi_dir(64);
+    let all = run_query(&config, &spec("records", &[], Some("cpu"), None)).unwrap();
+    assert_eq!(all.table.len(), 64, "every CPU issues records");
+    let full = run_query(&config, &spec("records", &["cpu=0..63"], Some("cpu"), None)).unwrap();
+    assert_eq!(full.table.matched(), all.table.matched());
+    assert_eq!(full.table.len(), 64);
+    assert_eq!(full.table.to_json(), all.table.to_json());
+    let high = run_query(&config, &spec("records", &["cpu=40"], Some("cpu"), None)).unwrap();
+    assert!(high.table.matched() > 0);
+    assert!(high.table.to_json().contains("\"cpu40\""));
 }
 
 #[test]
