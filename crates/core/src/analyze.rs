@@ -638,8 +638,16 @@ struct PendingFill {
 }
 
 /// Folds one class verdict into the analysis (pure accumulation). `cpu`
-/// is the issuing CPU, consumed only by the provenance probe.
-fn fold_class(out: &mut TraceAnalysis, p: &PendingFill, class: ArchClass, cpu: usize) {
+/// is the issuing CPU, consumed only by the provenance probe;
+/// `dispos_i_by_routine` is the dense form of
+/// [`TraceAnalysis::dispos_i_by_routine`], indexed by `Rid as usize`.
+fn fold_class(
+    out: &mut TraceAnalysis,
+    dispos_i_by_routine: &mut [u64],
+    p: &PendingFill,
+    class: ArchClass,
+    cpu: usize,
+) {
     if let Some(prov) = out.provenance.as_deref_mut() {
         let m = match p.mode {
             Mode::Kernel => 0,
@@ -676,7 +684,7 @@ fn fold_class(out: &mut TraceAnalysis, p: &PendingFill, class: ArchClass, cpu: u
     if p.instr {
         if let ArchClass::DispOs { .. } = class {
             if let Some(rid) = p.rid {
-                *out.dispos_i_by_routine.entry(rid).or_default() += 1;
+                dispos_i_by_routine[rid as usize] += 1;
             }
             let kb = p.kb as usize;
             if kb < out.dispos_i_bins_1k.len() {
@@ -745,6 +753,10 @@ pub struct StreamAnalyzer {
     /// of a `BTreeMap` probe. Materialized into
     /// [`TraceAnalysis::os_i_by_subsystem`] at finish.
     os_i_sub_dense: Vec<u64>,
+    /// Kernel-instruction *Dispos* misses by routine, dense (indexed by
+    /// `Rid as usize`), materialized into
+    /// [`TraceAnalysis::dispos_i_by_routine`] at finish.
+    dispos_i_routine_dense: [u64; Rid::ALL.len()],
     /// Columnar write-back prescan scratch for
     /// [`StreamAnalyzer::push_block`].
     kind_scan: crate::classify::KindScan,
@@ -803,6 +815,7 @@ impl StreamAnalyzer {
             iscratch: Vec::new(),
             dscratch: Vec::new(),
             os_i_sub_dense: Vec::new(),
+            dispos_i_routine_dense: [0; Rid::ALL.len()],
             kind_scan: crate::classify::KindScan::default(),
             row_sink: None,
             timeline: None,
@@ -1051,14 +1064,19 @@ impl StreamAnalyzer {
         // Stream items staged since the last block must reach the sweeps
         // before their points are read.
         self.replay_sweeps();
-        // Materialize the dense subsystem counters; only subsystems
-        // that took a miss appear, exactly as map-entry insertion did.
+        // Materialize the dense subsystem and routine counters; only
+        // keys that took a miss appear, exactly as map-entry insertion
+        // did.
         for &rid in Rid::ALL {
             let s = rid.subsystem();
             if let Some(&n) = self.os_i_sub_dense.get(s as usize) {
                 if n > 0 {
                     self.out.os_i_by_subsystem.insert(s, n);
                 }
+            }
+            let n = self.dispos_i_routine_dense[rid as usize];
+            if n > 0 {
+                self.out.dispos_i_by_routine.insert(rid, n);
             }
         }
         self.out.undecodable = self.decoder.undecodable;
@@ -1266,11 +1284,13 @@ impl StreamAnalyzer {
         }
     }
 
-    fn is_instr(&self, i: usize, rec: &BusRecord, write: bool) -> bool {
+    /// Whether a fill is an instruction fetch. `region` is
+    /// [`Layout::classify`] of the record's address.
+    fn is_instr(&self, i: usize, rec: &BusRecord, write: bool, region: KernelRegion) -> bool {
         if write {
             return false;
         }
-        match self.meta.layout.classify(rec.paddr) {
+        match region {
             // Kernel text, including per-cluster replicas.
             KernelRegion::Text => true,
             KernelRegion::FramePool => match self.ppn_vpn.get(rec.paddr.page().0 as usize) {
@@ -1285,7 +1305,10 @@ impl StreamAnalyzer {
 
     fn handle_access(&mut self, rec: BusRecord, write: bool, upgrade: bool) {
         let i = rec.cpu.index();
-        let instr = self.is_instr(i, &rec, write);
+        // The one region lookup of this access: it serves the
+        // instruction test, the data attribution and the query row.
+        let region = self.meta.layout.classify(rec.paddr);
+        let instr = self.is_instr(i, &rec, write, region);
         let block = rec.paddr.block();
         let mode = self.cpus[i].state.mode();
         let os_fill = mode != Mode::User;
@@ -1333,11 +1356,11 @@ impl StreamAnalyzer {
             let top_ctx = self.cpus[i].ctx_stack.last().copied();
             pending.ctx = top_ctx;
             if instr {
-                pending.rid = self.meta.layout.routine_at(rec.paddr);
-                pending.kb = (self.meta.layout.canonical_text_addr(rec.paddr).raw() / 1024)
-                    .min(u64::from(u32::MAX)) as u32;
+                let canon = self.meta.layout.canonical_text_addr(rec.paddr);
+                pending.rid = self.meta.layout.routine_at(canon);
+                pending.kb = (canon.raw() / 1024).min(u64::from(u32::MAX)) as u32;
             } else {
-                pending.region = self.meta.layout.classify(rec.paddr);
+                pending.region = region;
             }
 
             let ca = &mut self.cpus[i];
@@ -1381,7 +1404,13 @@ impl StreamAnalyzer {
             // An upgrade is coherence traffic on a resident line: the
             // class is Sharing by definition (no mirror lookup), but
             // other CPUs still lose the block.
-            fold_class(&mut self.out, &pending, ArchClass::Sharing, i);
+            fold_class(
+                &mut self.out,
+                &mut self.dispos_i_routine_dense,
+                &pending,
+                ArchClass::Sharing,
+                i,
+            );
             for (j, other) in self.cpus.iter_mut().enumerate() {
                 if j != i {
                     other.dmirror.invalidate(block);
@@ -1401,8 +1430,14 @@ impl StreamAnalyzer {
             }
             if self.row_sink.is_some() {
                 let op = (mode == Mode::Kernel).then(|| self.cpus[i].top_class());
-                let region = Some(self.meta.layout.classify(rec.paddr));
-                self.emit_row(&rec, mode, instr, Some(ArchClass::Sharing), op, region);
+                self.emit_row(
+                    &rec,
+                    mode,
+                    instr,
+                    Some(ArchClass::Sharing),
+                    op,
+                    Some(region),
+                );
             }
             return;
         }
@@ -1421,7 +1456,13 @@ impl StreamAnalyzer {
                 }
             }
         }
-        fold_class(&mut self.out, &pending, class, i);
+        fold_class(
+            &mut self.out,
+            &mut self.dispos_i_routine_dense,
+            &pending,
+            class,
+            i,
+        );
         if let Some(h) = &mut self.hotline {
             if !instr {
                 let access = if write {
@@ -1434,8 +1475,7 @@ impl StreamAnalyzer {
         }
         if self.row_sink.is_some() {
             let op = (mode == Mode::Kernel).then(|| self.cpus[i].top_class());
-            let region = Some(self.meta.layout.classify(rec.paddr));
-            self.emit_row(&rec, mode, instr, Some(class), op, region);
+            self.emit_row(&rec, mode, instr, Some(class), op, Some(region));
         }
     }
 }

@@ -45,11 +45,6 @@ enum Loss {
     Flushed,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Line {
-    block: BlockAddr,
-}
-
 /// Entries per loss-table page (a 16 KiB allocation).
 const LOSS_PAGE: usize = 1 << 12;
 
@@ -160,15 +155,46 @@ impl BlockSet {
     }
 }
 
+/// A mirror's resident tags, one per set: `1 + block / sets`, or 0 for
+/// an empty set, so a new mirror's lines come from zeroed pages.
+/// Blocks lie below 2^32 (the 64 GiB memory cap), so with two or more
+/// sets every tag fits a `u32`. Only a one-set cache's tag can reach
+/// 2^32; it keeps its single line as a `u64`.
+#[derive(Debug)]
+enum Lines {
+    Packed(Vec<u32>),
+    One(u64),
+}
+
+impl Lines {
+    fn get(&self, set: usize) -> u64 {
+        match self {
+            Lines::Packed(tags) => u64::from(tags[set]),
+            Lines::One(tag) => *tag,
+        }
+    }
+
+    fn put(&mut self, set: usize, tag: u64) {
+        match self {
+            Lines::Packed(tags) => {
+                debug_assert!(tag <= u64::from(u32::MAX), "tag {tag} overflows u32");
+                tags[set] = tag as u32;
+            }
+            Lines::One(t) => *t = tag,
+        }
+    }
+}
+
 /// A direct-mapped cache mirror reconstructing one cache's contents
 /// from its fill stream.
 #[derive(Debug)]
 pub struct Mirror {
     sets: u64,
-    /// `sets - 1` when `sets` is a power of two (always, for the
-    /// measured geometries): set indexing by mask, not hardware divide.
-    set_mask: u64,
-    lines: Vec<Option<Line>>,
+    /// `log2(sets)` when `sets` is a power of two (always, for the
+    /// measured geometries): set and tag by mask and shift, not
+    /// hardware divide. `u32::MAX` otherwise.
+    set_shift: u32,
+    lines: Lines,
     loss: LossTable,
     seen: BlockSet,
 }
@@ -185,28 +211,40 @@ impl Mirror {
         assert!(sets > 0, "cache must have at least one set");
         Mirror {
             sets,
-            set_mask: if sets.is_power_of_two() {
-                sets - 1
+            set_shift: if sets.is_power_of_two() {
+                sets.trailing_zeros()
             } else {
-                u64::MAX
+                u32::MAX
             },
-            lines: vec![None; sets as usize],
+            lines: if sets == 1 {
+                Lines::One(0)
+            } else {
+                Lines::Packed(vec![0; sets as usize])
+            },
             loss: LossTable::default(),
             seen: BlockSet::default(),
         }
     }
 
-    fn set_of(&self, block: BlockAddr) -> usize {
-        if self.set_mask != u64::MAX {
-            (block.0 & self.set_mask) as usize
+    /// `(set, tag)` of `block`.
+    fn locate(&self, block: BlockAddr) -> (usize, u64) {
+        let (set, high) = if self.set_shift != u32::MAX {
+            (block.0 & (self.sets - 1), block.0 >> self.set_shift)
         } else {
-            (block.0 % self.sets) as usize
-        }
+            (block.0 % self.sets, block.0 / self.sets)
+        };
+        (set as usize, high + 1)
+    }
+
+    /// The block that nonzero `tag` names in `set`.
+    fn block_of(&self, set: usize, tag: u64) -> BlockAddr {
+        BlockAddr((tag - 1) * self.sets + set as u64)
     }
 
     /// Whether the mirror currently holds `block`.
     pub fn resident(&self, block: BlockAddr) -> bool {
-        self.lines[self.set_of(block)].is_some_and(|l| l.block == block)
+        let (set, tag) = self.locate(block);
+        self.lines.get(set) == tag
     }
 
     /// Classifies a miss on `block` and replays its fill.
@@ -239,27 +277,31 @@ impl Mirror {
                 }
             }
         };
-        // Fill, recording the victim's loss cause.
-        let set = self.set_of(block);
-        if let Some(victim) = self.lines[set] {
-            if victim.block != block {
-                let cause = if fill_is_os {
-                    Loss::DispOs { epoch }
-                } else {
-                    Loss::DispAp
-                };
-                self.loss.insert(victim.block, cause);
-            }
-        }
-        self.lines[set] = Some(Line { block });
+        let cause = if fill_is_os {
+            Loss::DispOs { epoch }
+        } else {
+            Loss::DispAp
+        };
+        self.fill(block, cause);
         class
+    }
+
+    /// Installs `block`, recording `cause` as the loss of the block it
+    /// displaces.
+    fn fill(&mut self, block: BlockAddr, cause: Loss) {
+        let (set, tag) = self.locate(block);
+        let victim = self.lines.get(set);
+        if victim != 0 && victim != tag {
+            self.loss.insert(self.block_of(set, victim), cause);
+        }
+        self.lines.put(set, tag);
     }
 
     /// Invalidates `block` after coherence activity by another CPU.
     pub fn invalidate(&mut self, block: BlockAddr) {
-        let set = self.set_of(block);
-        if self.lines[set].is_some_and(|l| l.block == block) {
-            self.lines[set] = None;
+        let (set, tag) = self.locate(block);
+        if self.lines.get(set) == tag {
+            self.lines.put(set, 0);
             self.loss.insert(block, Loss::Invalidated);
         }
     }
@@ -268,13 +310,16 @@ impl Mirror {
     /// flush). Returns the number of lines dropped.
     pub fn flush_page(&mut self, page: Ppn) -> usize {
         let mut dropped = 0;
-        for set in 0..self.lines.len() {
-            if let Some(l) = self.lines[set] {
-                if l.block.page() == page {
-                    self.lines[set] = None;
-                    self.loss.insert(l.block, Loss::Flushed);
-                    dropped += 1;
-                }
+        for set in 0..self.sets as usize {
+            let tag = self.lines.get(set);
+            if tag == 0 {
+                continue;
+            }
+            let block = self.block_of(set, tag);
+            if block.page() == page {
+                self.lines.put(set, 0);
+                self.loss.insert(block, Loss::Flushed);
+                dropped += 1;
             }
         }
         dropped
@@ -424,6 +469,69 @@ mod tests {
         let mut m = Mirror::new(1024);
         m.invalidate(b(9));
         assert_eq!(m.classify_fill(b(9), false, 0), ArchClass::Cold);
+    }
+
+    /// Tag round trip at three geometries: the smallest set count a
+    /// cache may have, a set count that is not a power of two, and the
+    /// stock 64 KB I-cache. At each, a displaced victim must come back
+    /// as the block it was, from the low blocks up to the highest block
+    /// under the 64 GiB memory cap.
+    #[test]
+    fn victim_tags_round_trip() {
+        use oscar_machine::config::MAX_MEMORY_BYTES;
+        use oscar_machine::CacheConfig;
+        let highest = MAX_MEMORY_BYTES / 16 - 1;
+        assert_eq!(highest, u64::from(u32::MAX));
+        for size in [16, 48, 64 * 1024] {
+            let sets = CacheConfig::direct_mapped(size)
+                .checked_num_sets()
+                .expect("a valid geometry");
+            assert_eq!(sets, size / 16);
+            for victim in [0, 1, sets + 2, highest - sets, highest] {
+                let mut m = Mirror::new(size);
+                let (set, tag) = m.locate(b(victim));
+                assert!(tag <= u64::from(u32::MAX) || sets == 1, "{sets} sets");
+                assert_eq!(m.block_of(set, tag), b(victim));
+                m.fill(b(victim), Loss::DispAp);
+                assert!(m.resident(b(victim)));
+                // A conflicting block in the same set displaces it.
+                let conflict = if victim >= sets {
+                    victim - sets
+                } else {
+                    victim + sets
+                };
+                m.fill(b(conflict), Loss::DispOs { epoch: 7 });
+                assert!(!m.resident(b(victim)) && m.resident(b(conflict)));
+                assert_eq!(
+                    m.loss.remove(b(victim)),
+                    Some(Loss::DispOs { epoch: 7 }),
+                    "{sets} sets, victim {victim}"
+                );
+                assert_eq!(m.loss.remove(b(conflict)), None);
+                m.invalidate(b(conflict));
+                assert_eq!(m.loss.remove(b(conflict)), Some(Loss::Invalidated));
+                assert!(!m.resident(b(conflict)));
+            }
+        }
+    }
+
+    /// The classification through the public entry at the small
+    /// geometries, whose conflicts are easy to provoke.
+    #[test]
+    fn tiny_geometries_classify_displacements() {
+        for size in [16, 48] {
+            let sets = size / 16;
+            let mut m = Mirror::new(size);
+            assert_eq!(m.classify_fill(b(5), true, 0), ArchClass::Cold);
+            assert_eq!(m.classify_fill(b(5 + sets), false, 0), ArchClass::Cold);
+            assert_eq!(m.classify_fill(b(5), true, 0), ArchClass::DispAp);
+            assert_eq!(
+                m.classify_fill(b(5 + sets), true, 0),
+                ArchClass::DispOs { same_epoch: true }
+            );
+            assert_eq!(m.flush_page(b(5).page()), 1);
+            assert_eq!(m.classify_fill(b(5 + sets), true, 0), ArchClass::Inval);
+        }
     }
 
     #[test]

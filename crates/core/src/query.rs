@@ -64,9 +64,9 @@ const REGIONS: [KernelRegion; 17] = [
     KernelRegion::FramePool,
 ];
 
-/// The highest CPU index a `records` filter may list: the machines
-/// studied here have at most 64 CPUs.
-const MAX_CPU: u64 = 63;
+/// The highest CPU index a `records` filter may list: a machine has at
+/// most 255 CPUs (`MachineConfig::num_cpus` is a `u8`).
+const MAX_CPU: u64 = u8::MAX as u64 - 1;
 
 /// The [`CLASS_LABELS`] bits a class satisfies. A same-epoch OS
 /// displacement is still an OS displacement, so it matches both
@@ -654,10 +654,10 @@ mod tests {
                 .contains("value list")
         );
         assert_eq!(
-            compile(&spec("records", &["cpu=64"], None, None).unwrap()).unwrap_err(),
-            "--where cpu: `64` out of range (0..=63)"
+            compile(&spec("records", &["cpu=255"], None, None).unwrap()).unwrap_err(),
+            "--where cpu: `255` out of range (0..=254)"
         );
-        assert!(compile(&spec("records", &["cpu=40,63"], None, None).unwrap()).is_ok());
+        assert!(compile(&spec("records", &["cpu=40,63,70,254"], None, None).unwrap()).is_ok());
         assert!(
             compile(&spec("locks", &["family=Nosuch"], None, None).unwrap())
                 .unwrap_err()
@@ -724,6 +724,42 @@ mod tests {
             assert_eq!(matched(&[pass], &r), 1, "{pass}");
             assert_eq!(matched(&[fail], &r), 0, "{fail}");
         }
+    }
+
+    /// A snooping machine may have up to 255 CPUs: on 100 of them, the
+    /// `cpu=70` query must equal CPU 70's group of the unfiltered run.
+    #[test]
+    fn cpu_filter_reaches_cpus_past_64() {
+        let rows: Vec<QueryRow> = (0..100u8)
+            .flat_map(|cpu| {
+                (0..3u64).map(move |k| row(cpu, BusKind::Read, k * 1000 + u64::from(cpu), 0x4000))
+            })
+            .collect();
+        let table = |wheres: &[&str]| {
+            let q =
+                compile(&spec("records", wheres, Some("cpu"), Some("hist:time")).unwrap()).unwrap();
+            let t = records();
+            let mut table = GroupTable::new(q.agg.clone());
+            let mut key = String::new();
+            for r in &rows {
+                t.offer(&q, r, &mut key, &mut table);
+            }
+            table.to_json()
+        };
+        let cpu70 = |json: &str| -> String {
+            json.lines()
+                .find(|l| l.starts_with("{\"key\": \"cpu70\""))
+                .expect("CPU 70 has a group")
+                .trim_end_matches(',')
+                .trim_end_matches("]}")
+                .to_string()
+        };
+        let all = table(&[]);
+        assert!(all.contains("\"groups_total\": 100"));
+        let one = table(&["cpu=70"]);
+        assert!(one.contains("\"matched\": 3, \"groups_total\": 1"), "{one}");
+        assert_eq!(cpu70(&one), cpu70(&all));
+        assert_eq!(matched(&["cpu=254"], &[row(254, BusKind::Read, 0, 0)]), 1);
     }
 
     /// The group label `source`'s `field` gives `row`.

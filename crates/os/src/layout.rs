@@ -572,17 +572,21 @@ impl Layout {
 
     /// The routine containing a text address, if any (replica
     /// addresses resolve to their canonical routine).
+    ///
+    /// The analyzer calls this on every kernel instruction miss.
+    /// Routine bases ascend along the link order, so a binary search
+    /// finds the only candidate: the last routine based at or below the
+    /// address. Alignment padding after it resolves to `None`.
     pub fn routine_at(&self, paddr: PAddr) -> Option<Rid> {
-        let paddr = self.canonical_text_addr(paddr);
-        let a = paddr.raw();
+        let a = self.canonical_text_addr(paddr).raw();
         if a < self.text_base || a >= self.text_end {
             return None;
         }
-        // Linear scan is fine: only reports use this.
-        Rid::ALL.iter().copied().find(|&rid| {
-            let base = self.routine_base[rid as usize];
-            a >= base && a < base + rid.size() as u64
-        })
+        let n = self
+            .order
+            .partition_point(|&rid| self.routine_base[rid as usize] <= a);
+        let rid = self.order[n.checked_sub(1)?];
+        (a < self.routine_base[rid as usize] + u64::from(rid.size())).then_some(rid)
     }
 
     /// Total kernel text bytes (including alignment padding).
@@ -724,6 +728,11 @@ impl Layout {
         let a = paddr.raw();
         if a < self.text_end {
             return KernelRegion::Text;
+        }
+        // Every kernel region, text replicas included, lies below the
+        // frame pool, so user fills and escapes stop here.
+        if a >= self.frame_pool_first.base().raw() {
+            return KernelRegion::FramePool;
         }
         let within = |base: u64, len: u64| a >= base && a < base + len;
         if within(self.proc_table, sizes::NPROC * sizes::PROC_ENTRY) {
@@ -939,6 +948,147 @@ mod tests {
             assert_eq!(l.routine_at(base.add(size as u64 - 1)), Some(rid));
         }
         assert_eq!(l.routine_at(PAddr::new(0)), None, "page 0 is unused");
+    }
+
+    /// The linear scan `routine_at` used before its binary search: the
+    /// oracle for it.
+    fn routine_at_linear(l: &Layout, paddr: PAddr) -> Option<Rid> {
+        let a = l.canonical_text_addr(paddr).raw();
+        if a < l.text_base || a >= l.text_end {
+            return None;
+        }
+        Rid::ALL.iter().copied().find(|&rid| {
+            let base = l.routine_base[rid as usize];
+            a >= base && a < base + rid.size() as u64
+        })
+    }
+
+    /// Every kernel region as `(base, len)`, replica span included.
+    fn kernel_regions(l: &Layout) -> Vec<(u64, u64)> {
+        vec![
+            (l.text_base, l.text_end - l.text_base),
+            (l.proc_table, sizes::NPROC * sizes::PROC_ENTRY),
+            (l.pfdat, l.pfdat_end - l.pfdat),
+            (l.buf_hdrs, sizes::NBUF * sizes::BUF_HDR),
+            (l.inode_table, sizes::NINODE * sizes::INODE),
+            (l.runq, sizes::RUNQ_HEAD),
+            (l.free_pg_buck, sizes::FREE_PG_BUCK),
+            (l.callout, sizes::CALLOUT),
+            (l.misc_data, sizes::MISC_DATA),
+            (l.page_tables, sizes::NPROC * sizes::PAGE_TABLE),
+            (l.kernel_stacks, sizes::NPROC * sizes::KERNEL_STACK),
+            (l.ustructs, sizes::NPROC * sizes::USTRUCT),
+            (l.buf_data, sizes::NBUF * PAGE_SIZE),
+            (l.pipe_buf, sizes::NPIPE * PAGE_SIZE),
+            (l.replica_base, l.replica_stride() * (l.replicas as u64 - 1)),
+        ]
+    }
+
+    /// The region chain `classify` ran before its frame-pool early
+    /// exit: the oracle for it.
+    fn classify_chain(l: &Layout, paddr: PAddr) -> KernelRegion {
+        let a = paddr.raw();
+        if a < l.text_end {
+            return KernelRegion::Text;
+        }
+        let within = |base: u64, len: u64| a >= base && a < base + len;
+        if within(l.proc_table, sizes::NPROC * sizes::PROC_ENTRY) {
+            KernelRegion::ProcTable
+        } else if a >= l.pfdat && a < l.pfdat_end {
+            KernelRegion::Pfdat
+        } else if within(l.buf_hdrs, sizes::NBUF * sizes::BUF_HDR) {
+            KernelRegion::BufHeaders
+        } else if within(l.inode_table, sizes::NINODE * sizes::INODE) {
+            KernelRegion::InodeTable
+        } else if within(l.runq, sizes::RUNQ_HEAD) {
+            KernelRegion::RunQueue
+        } else if within(l.free_pg_buck, sizes::FREE_PG_BUCK) {
+            KernelRegion::FreePgBuck
+        } else if within(l.callout, sizes::CALLOUT) {
+            KernelRegion::Callout
+        } else if within(l.misc_data, sizes::MISC_DATA) {
+            KernelRegion::MiscData
+        } else if within(l.page_tables, sizes::NPROC * sizes::PAGE_TABLE) {
+            KernelRegion::PageTables
+        } else if within(l.kernel_stacks, sizes::NPROC * sizes::KERNEL_STACK) {
+            KernelRegion::KernelStack
+        } else if within(l.ustructs, sizes::NPROC * sizes::USTRUCT) {
+            let off = (a - l.ustructs) % sizes::USTRUCT;
+            if off < sizes::PCB {
+                KernelRegion::Pcb
+            } else if off < sizes::PCB + sizes::EFRAME {
+                KernelRegion::Eframe
+            } else {
+                KernelRegion::URest
+            }
+        } else if within(l.buf_data, sizes::NBUF * PAGE_SIZE) {
+            KernelRegion::BufData
+        } else if within(l.pipe_buf, sizes::NPIPE * PAGE_SIZE) {
+            KernelRegion::PipeBuf
+        } else if l.replicas > 1
+            && within(l.replica_base, l.replica_stride() * (l.replicas as u64 - 1))
+        {
+            KernelRegion::Text
+        } else {
+            KernelRegion::FramePool
+        }
+    }
+
+    /// The default layout, a hot-first custom order (the link order
+    /// reversed) and a four-way replicated text.
+    fn oracle_layouts() -> [Layout; 3] {
+        let mut reversed = Rid::ALL.to_vec();
+        reversed.reverse();
+        [
+            layout(),
+            Layout::with_order(32 * 1024 * 1024, reversed),
+            Layout::replicated(32 * 1024 * 1024, 4),
+        ]
+    }
+
+    #[test]
+    fn routine_at_matches_the_linear_scan() {
+        for l in oracle_layouts() {
+            // Every 4-byte address of every text copy, page 0, each
+            // routine boundary and the page-alignment gap after
+            // `text_end` included.
+            for k in 0..l.replicas() {
+                let copy = l.replicate_text_addr(PAddr::new(0), k).raw();
+                for off in (0..=l.replica_stride()).step_by(4) {
+                    let a = PAddr::new(copy + off);
+                    assert_eq!(
+                        l.routine_at(a),
+                        routine_at_linear(&l, a),
+                        "copy {k}, offset {off:#x}"
+                    );
+                }
+            }
+            assert_eq!(l.routine_at(PAddr::new(l.text_end)), None);
+            assert_eq!(
+                l.routine_at(PAddr::new(l.text_end - 1)),
+                Some(l.order[l.order.len() - 1])
+            );
+        }
+    }
+
+    #[test]
+    fn classify_matches_the_region_chain() {
+        for l in oracle_layouts() {
+            let mut probes = vec![0, Layout::ESCAPE_BASE, l.memory_bytes() - 1];
+            // First and last byte of every region and the bytes just
+            // outside, which lie in the page-alignment gaps.
+            for (base, len) in kernel_regions(&l).into_iter().filter(|r| r.1 > 0) {
+                probes.extend([base.saturating_sub(1), base, base + len - 1, base + len]);
+            }
+            // Every block of the kernel map, the whole replica span
+            // included, and the first pages of the frame pool.
+            let pool = l.frame_pool_first().base().raw();
+            probes.extend((0..pool + 4 * PAGE_SIZE).step_by(16));
+            for a in probes {
+                let a = PAddr::new(a);
+                assert_eq!(l.classify(a), classify_chain(&l, a), "{:#x}", a.raw());
+            }
+        }
     }
 
     #[test]
